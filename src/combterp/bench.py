@@ -8,21 +8,17 @@ code) and correctness is asserted before any timing is reported.
 """
 from __future__ import annotations
 
-import gc
 import random
 import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import runtime
-from .classical import classical_registry, retarget_externs, run_classical
-from .compare import normalize_value
-from .elim import ElimAlgo, elim, transform
+from .compare import observe_classical, observe_combinator
+from .elim import ElimAlgo, elim
 from .frontend import SourceProgram, check_closed, parse
-from .eval import eval as meval
 from .purify import PurifyCtx, purify
-from .runtime import call_deep, fuel
+from .runtime import call_deep
 from .store import Store
 from .syntax import VInt, VList, Value, count_apps, value_ground_eq
 
@@ -220,46 +216,20 @@ def corpus(full: bool = False) -> list[BenchProgram]:
 
 # ---------------------------------------------------------------- harness
 
-def _timed(body, budget: int):
-    # evaluation allocates millions of short-lived closures; cyclic gc
-    # passes over them cost ~40% of the run, so collect once afterwards
-    gc_was_on = gc.isenabled()
-    gc.disable()
-    t0 = time.perf_counter()
-    try:
-        with fuel(budget):
-            value = call_deep(body)
-            spent = budget - runtime.remaining()
-        elapsed = time.perf_counter() - t0
-    finally:
-        if gc_was_on:
-            gc.enable()
-        gc.collect()
-    return value, elapsed, spent
-
-
 def _run_once(e, algo, budget: int):
-    """One measurement: (value, trace, app_count, steps, transform_s, eval_s)."""
-    s = Store()
+    """One measurement: (Observation, app_count, transform_s)."""
     if algo == CLASSICAL:
-        e2 = retarget_externs(e, classical_registry(s))
-        value, eval_s, spent = _timed(lambda: run_classical(e2, s), budget)
-        app_count = None
-        transform_s = 0.0
-    else:
-        ctx = PurifyCtx(s)
-        t0 = time.perf_counter()
-        # pre-evaluation is forced on for every rule set: plain-fab terms are
-        # too slow for the desk-scale corpus; the census below still reports
-        # the unfolded term size
-        m = call_deep(transform, purify(e, ctx), algo, pre_eval=True)
-        transform_s = time.perf_counter() - t0
-        app_count = call_deep(
-            lambda: count_apps(elim(purify(e, PurifyCtx(Store())), algo,
-                                    pre_eval=False)))
-        value, eval_s, spent = _timed(lambda: meval(m), budget)
-    trace = tuple((ev.kind, ev.tag, normalize_value(ev.value)) for ev in s.trace)
-    return value, trace, app_count, spent, transform_s, eval_s
+        return observe_classical(e, budget=budget), None, 0.0
+    t0 = time.perf_counter()
+    # pre-evaluation is forced on for every rule set: plain-fab terms are
+    # too slow for the desk-scale corpus; the census below still reports
+    # the unfolded term size
+    obs = observe_combinator(e, algo, budget=budget, pre_eval=True)
+    transform_s = time.perf_counter() - t0 - obs.eval_s
+    app_count = call_deep(
+        lambda: count_apps(elim(purify(e, PurifyCtx(Store())), algo,
+                                pre_eval=False)))
+    return obs, app_count, transform_s
 
 
 def run_bench(programs=None, algos=ALL_ALGOS, repetitions: int = 1,
@@ -274,16 +244,18 @@ def run_bench(programs=None, algos=ALL_ALGOS, repetitions: int = 1,
         for algo in algos:
             ts, es = [], []
             for _ in range(repetitions):
-                value, trace, app_count, spent, t_s, e_s = _run_once(e, algo, budget)
+                obs, app_count, t_s = _run_once(e, algo, budget)
                 ts.append(t_s)
-                es.append(e_s)
-            correct = value_ground_eq(value, want)
-            if not correct:
-                raise BenchFailure(f"{p.name} under {_algo_name(algo)}: wrong result")
-            traces[algo] = trace
-            rows.append(BenchRow(p.name, _algo_name(algo), value, correct,
-                                 app_count, spent, statistics.median(ts),
-                                 statistics.median(es), trace))
+                es.append(obs.eval_s)
+            name = f"{p.name} under {_algo_name(algo)}"
+            if obs.kind != "value":
+                raise BenchFailure(f"{name}: {obs.kind}: {obs.error}")
+            if not value_ground_eq(obs.value, want):
+                raise BenchFailure(f"{name}: wrong result")
+            traces[algo] = obs.trace
+            rows.append(BenchRow(p.name, _algo_name(algo), obs.value, True,
+                                 app_count, obs.steps, statistics.median(ts),
+                                 statistics.median(es), obs.trace))
         if len(set(traces.values())) > 1:
             raise BenchFailure(f"{p.name}: store traces differ across schemes")
     return BenchReport(tuple(rows))

@@ -7,15 +7,14 @@ import sys
 from . import bench as bench_mod
 from . import compare as compare_mod
 from . import quickgen, refsem
-from .elim import ElimAlgo, find_cbv_violations, elim, transform
+from .elim import ElimAlgo, check_no_var, elim, find_cbv_violations
 from .errors import InterpError
 from .frontend import SourceProgram, check_closed, parse
 from .purify import PurifyCtx, purify
-from .store import Store, format_trace
+from .store import Store
 from .syntax import count_apps, format_mexpr, format_value
 
 ALGOS = {"fab": ElimAlgo.FAB, "c1": ElimAlgo.C1, "c2": ElimAlgo.C2}
-DEFAULT_BUDGET = 50_000_000
 
 
 def _read_source(path: str) -> SourceProgram:
@@ -37,7 +36,7 @@ def cmd_run(args) -> int:
         obs = compare_mod.observe_combinator(e, ALGOS[args.algo],
                                              budget=args.budget)
     if obs.kind != "value":
-        print(f"error: {obs.kind}", file=sys.stderr)
+        print(f"error: {obs.kind}: {obs.error}", file=sys.stderr)
         return 1
     v = compare_mod.normalize_value(obs.value)
     print("<fun>" if v == "fun" else format_value(obs.value))
@@ -54,9 +53,8 @@ def cmd_transform(args) -> int:
     p = purify(e, ctx)
     algo = ALGOS[args.algo if args.algo != "classical" else "c2"]
     pre_eval = False if args.no_pre_eval else None  # None = the rule set's default
-    out = elim(p, algo, pre_eval=pre_eval)
-    m = transform(p, algo, pre_eval=pre_eval)
-    bad = find_cbv_violations(out)
+    m = check_no_var(elim(p, algo, pre_eval=pre_eval))
+    bad = find_cbv_violations(m)
     if args.emit != "size":
         print(format_mexpr(m))
     print(f"applications: {count_apps(m)}")
@@ -127,14 +125,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="combterp")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, file=True):
-        if file:
-            p.add_argument("file", help="program path, or - for stdin")
+    def common(p):
+        p.add_argument("file", help="program path, or - for stdin")
         p.add_argument("--algo", choices=["classical", *ALGOS], default="c2")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("run", help="evaluate a program")
     common(p)
+    p.add_argument("--budget", type=int, default=compare_mod.RUN_BUDGET)
     p.add_argument("--emit", choices=["value", "trace"], default="value")
     p.set_defaults(fn=cmd_run)
 
@@ -146,7 +143,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("compare", help="differential check vs classical")
     p.add_argument("file", nargs="?", help="program path; omit to use seeds")
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--budget", type=int, default=compare_mod.DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)
     p.set_defaults(fn=cmd_compare)

@@ -9,7 +9,8 @@ counted as disagreements.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .classical import Closure, classical_registry, retarget_externs, run_classical
@@ -18,12 +19,13 @@ from .errors import (EvalTypeError, StepLimitExceeded, UnboundTagError,
                      UnboundVarError)
 from .eval import eval as meval
 from .purify import PurifyCtx, purify
-from .runtime import call_deep, fuel
+from .runtime import call_deep, fuel, remaining
 from .store import Store
 from .syntax import (Expr, VFun, VList, Value, format_value, is_ground,
                      value_ground_eq)
 
 DEFAULT_BUDGET = 200_000
+RUN_BUDGET = 50_000_000  # `combterp run` and `run_source`
 
 
 def normalize_value(v):
@@ -41,6 +43,11 @@ class Observation:
     value: Optional[Value] = None
     trace: tuple = ()
     bindings: tuple = ()
+    steps: Optional[int] = None  # native applications spent by the run
+    eval_s: float = field(default=0.0, compare=False)
+    # the exception that ended the run, without its traceback: that would
+    # keep the failed run's whole stack alive
+    error: Optional[BaseException] = field(default=None, compare=False)
 
     @property
     def excluded(self) -> bool:
@@ -55,25 +62,31 @@ def _snapshot(s: Store) -> tuple:
 
 
 def _observe(body, s: Store, budget: int) -> Observation:
-    kind, value = "value", None
+    """Run `body` under the budget on a deep stack, with cyclic gc off."""
+    kind, value, error = "value", None, None
     gc_was_on = gc.isenabled()
     gc.disable()  # budget-bounded runs allocate heavily; collect afterwards
+    t0 = time.perf_counter()
     try:
         with fuel(budget):
-            value = call_deep(body)
-    except EvalTypeError:
-        kind = "type_error"
-    except (UnboundTagError, UnboundVarError):
-        kind = "unbound_tag"
-    except StepLimitExceeded:
-        kind = "limit"
-    except (RecursionError, MemoryError):
-        kind = "recursion"
+            try:
+                value = call_deep(body)
+            finally:
+                steps = budget - remaining()
+    except EvalTypeError as exc:
+        kind, error = "type_error", exc.with_traceback(None)
+    except (UnboundTagError, UnboundVarError) as exc:
+        kind, error = "unbound_tag", exc.with_traceback(None)
+    except StepLimitExceeded as exc:
+        kind, error = "limit", exc.with_traceback(None)
+    except (RecursionError, MemoryError) as exc:
+        kind, error = "recursion", exc.with_traceback(None)
     finally:
+        eval_s = time.perf_counter() - t0
         if gc_was_on:
             gc.enable()
     trace, bindings = _snapshot(s)
-    return Observation(kind, value, trace, bindings)
+    return Observation(kind, value, trace, bindings, steps, eval_s, error)
 
 
 def observe_classical(e: Expr, initial=None, budget: int = DEFAULT_BUDGET) -> Observation:

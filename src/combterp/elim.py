@@ -28,9 +28,8 @@ from . import runtime as _rt
 from .errors import (EvalTypeError, InterpError, StepLimitExceeded,
                      UnexpectedNodeError)
 from .refsem import RAbs, RApp, RFunConst, RTerm, RVar
-from .runtime import apply_value
 from .syntax import (CombMeta, MExpr, PAbs, PApp, PConst, PVar, PExpr, VBool,
-                     VFun, Value, format_value, free_vars)
+                     VFun, format_value, free_vars)
 
 
 class ElimAlgo(enum.Enum):
@@ -286,27 +285,6 @@ def _roster(algo: ElimAlgo) -> dict[str, CombinatorDef]:
     return defs
 
 
-# ---------------------------------------------------------------- hand-made combinators
-
-def hand_combinator(kind: str, *consts: Value) -> PExpr:
-    """Transform-time specialized combinators (K_c, B_c, C_c, N_c1c2)."""
-    if kind == "K_c":
-        (c,) = consts
-        return PConst(VFun(lambda _: c))
-    if kind == "B_c":
-        (c,) = consts
-        return PConst(VFun(
-            lambda g: VFun(lambda x: apply_value(c, apply_value(g, x)))))
-    if kind == "C_c":
-        (c,) = consts
-        return PConst(VFun(
-            lambda f: VFun(lambda x: apply_value(apply_value(f, x), c))))
-    if kind == "N_c1c2":
-        c1, c2 = consts
-        return PConst(VFun(lambda _: apply_value(c1, c2)))
-    raise ValueError(f"unknown hand combinator kind: {kind}")
-
-
 # ---------------------------------------------------------------- pre-evaluation
 
 def _fold(f: PExpr, a: PExpr) -> PExpr:
@@ -345,14 +323,14 @@ class _Config:
     auto_pre_eval: bool
 
 
-def _config(algo: ElimAlgo, pre_eval: Optional[bool], hand: bool) -> _Config:
+def _config(algo: ElimAlgo, pre_eval: Optional[bool]) -> _Config:
     defs = make_combinators(algo)
     if pre_eval is None:
         pre_eval = algo is not ElimAlgo.FAB
     return _Config(algo, defs, selective=algo is not ElimAlgo.FAB,
                    multi=algo is ElimAlgo.C2,
                    s_if=algo is not ElimAlgo.FAB,
-                   auto_pre_eval=pre_eval), hand
+                   auto_pre_eval=pre_eval)
 
 
 def _is_constant(e: PExpr, bound: tuple) -> bool:
@@ -380,9 +358,8 @@ def _match_if_shape(e: PExpr):
 
 
 class _Eliminator:
-    def __init__(self, cfg: _Config, hand: bool):
+    def __init__(self, cfg: _Config):
         self.cfg = cfg
-        self.hand = hand
         # one shared node per combinator; terms are immutable
         self.consts = {cid: PConst(d.value) for cid, d in cfg.defs.items()}
         # the constructor of every emitted application node
@@ -415,23 +392,7 @@ class _Eliminator:
         if name not in self.consts:
             return None
         args = [wrap(b) if m else b for b, m in zip(branches, mask)]
-        if self.hand and n_abs == 1 and len(branches) == 2 and not all(mask):
-            made = self._hand_selective(mask, branches, args)
-            if made is not None:
-                return made
         return self.spine_apply(name, args)
-
-    def _hand_selective(self, mask, branches, args) -> Optional[PExpr]:
-        # hand-made B_c / C_c / N_c1c2: only when the constants are PConst
-        b1, b2 = branches
-        if mask == (False, True) and isinstance(b1, PConst):
-            return self.app(hand_combinator("B_c", b1.value), args[1])
-        if mask == (True, False) and isinstance(b2, PConst):
-            return self.app(hand_combinator("C_c", b2.value), args[0])
-        if (mask == (False, False) and isinstance(b1, PConst)
-                and isinstance(b2, PConst)):
-            return hand_combinator("N_c1c2", b1.value, b2.value)
-        return None
 
     def elim_abs(self, x: str, body: PExpr) -> PExpr:
         """[x] body.  The rules are tried most-specific-first within each shape."""
@@ -458,8 +419,6 @@ class _Eliminator:
         if t is PVar and body.name == x:
             return self.consts["I"]
         if t is PVar or t is PConst:
-            if self.hand and t is PConst:
-                return hand_combinator("K_c", body.value)
             return self.app(self.consts["K"], body)
         if t is PAbs:
             # multi-arity patterns over two distinct binders
@@ -494,10 +453,9 @@ class _Eliminator:
         return None
 
 
-def elim(e: PExpr, algo: ElimAlgo, *, pre_eval: Optional[bool] = None,
-         hand: bool = False) -> PExpr:
-    cfg, hand = _config(algo, pre_eval, hand)
-    return _Eliminator(cfg, hand).elim(e)
+def elim(e: PExpr, algo: ElimAlgo, *,
+         pre_eval: Optional[bool] = None) -> PExpr:
+    return _Eliminator(_config(algo, pre_eval)).elim(e)
 
 
 def check_no_var(e: PExpr) -> MExpr:
@@ -519,9 +477,9 @@ def check_no_var(e: PExpr) -> MExpr:
     return e
 
 
-def transform(e: PExpr, algo: ElimAlgo, *, pre_eval: Optional[bool] = None,
-              hand: bool = False) -> MExpr:
-    return check_no_var(elim(e, algo, pre_eval=pre_eval, hand=hand))
+def transform(e: PExpr, algo: ElimAlgo, *,
+              pre_eval: Optional[bool] = None) -> MExpr:
+    return check_no_var(elim(e, algo, pre_eval=pre_eval))
 
 
 # ---------------------------------------------------------------- static discipline check

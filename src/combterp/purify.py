@@ -14,7 +14,7 @@ from .runtime import apply_value
 from .store import Store
 from .syntax import (CombMeta, DUMMY_IDENT, DUMMY_VAL, EAbs, EApp, EConst,
                      EGet, EIf, ESet, EVar, Expr, PAbs, PApp, PConst, PVar,
-                     PExpr, VBool, VFun, Value)
+                     PExpr, VBool, VFun)
 
 
 def _fun_if_impl(cond):
@@ -43,7 +43,6 @@ FUN_IF = VFun(_fun_if_impl, CombMeta("IF", 3, 0, False))
 @dataclass
 class PurifyCtx:
     store: Store
-    if_const: VFun = FUN_IF
     _getfuns: dict = field(default_factory=dict)
     _setfuns: dict = field(default_factory=dict)
 
@@ -80,14 +79,9 @@ def purify(e: Expr, ctx: PurifyCtx) -> PExpr:
             pc = purify(c, ctx)
             pt = PAbs(DUMMY_IDENT, purify(t, ctx))
             po = PAbs(DUMMY_IDENT, purify(o, ctx))
-            return PApp(PApp(PApp(PConst(ctx.if_const), pc), pt), po)
+            return PApp(PApp(PApp(PConst(FUN_IF), pc), pt), po)
         case EGet(tag):
             return PApp(PConst(make_get(tag, ctx)), PConst(DUMMY_VAL))
         case ESet(tag, inner):
             return PApp(PConst(make_set(tag, ctx)), purify(inner, ctx))
     raise TypeError(f"not an Expr: {e!r}")
-
-
-def fun_if_apply(cond: Value, then_branch: Value, else_branch: Value) -> Value:
-    """Apply the IF constant to its three arguments (convenience for tests)."""
-    return apply_value(apply_value(apply_value(FUN_IF, cond), then_branch), else_branch)

@@ -84,5 +84,7 @@ def call_deep(fn, *args, **kwargs):
     finally:
         threading.stack_size(old_size)
     if "error" in box:
-        raise box["error"]
+        # popped, not read: the traceback refers back to `box`, and an
+        # exception left in it would tie the whole failed stack into a cycle
+        raise box.pop("error")
     return box["value"]

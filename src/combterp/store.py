@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnboundTagError
-from .syntax import Value, format_value
+from .syntax import Value
 
 
 @dataclass(frozen=True)
@@ -45,23 +45,3 @@ class Store:
             if ev.kind == "set":
                 out[ev.tag] = ev.value
         return out
-
-
-def fresh_store(initial=None) -> Store:
-    return Store(initial)
-
-
-def store_get(tag: str, s: Store) -> Value:
-    return s.get(tag)
-
-
-def store_set(tag: str, v: Value, s: Store) -> Store:
-    s.set(tag, v)
-    return s
-
-
-def format_trace(s: Store) -> str:
-    """Line-per-event text log: `GET tag value` / `SET tag value`."""
-    return "\n".join(
-        f"{ev.kind.upper()} {ev.tag} {format_value(ev.value)}" for ev in s.trace
-    )

@@ -87,6 +87,10 @@ class TestHarness:
             run_bench([small_fib(oracle=999)], algos=(CLASSICAL,),
                       budget=5_000_000)
 
+    def test_run_ending_on_its_budget_raises(self):
+        with pytest.raises(BenchFailure, match="limit"):
+            run_bench([small_fib()], budget=100)
+
     def test_report_formats(self):
         report = run_bench([small_fib()], algos=(ElimAlgo.C2,),
                            budget=5_000_000)

@@ -38,7 +38,7 @@ class TestRun:
 
     def test_runtime_error_exits_nonzero(self, source, capsys):
         assert main(["run", source("1 2")]) == 1
-        assert "type_error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: type_error: cannot apply")
 
     def test_budget_exhaustion_exits_nonzero(self, source, capsys):
         f = source("(\\w. w w) (\\w. w w)")

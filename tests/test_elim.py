@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from combterp import externs
 from combterp.elim import (CbvViolation, ElimAlgo, check_no_var, elim,
-                           find_cbv_violations, hand_combinator,
-                           make_combinators, pre_eval_app, transform)
+                           find_cbv_violations, make_combinators,
+                           pre_eval_app, transform)
 from combterp.errors import UnexpectedNodeError
 from combterp.eval import eval as meval
 from combterp.frontend import parse
@@ -213,43 +213,6 @@ class TestPreEval:
         assert count_apps(elim(p, ElimAlgo.C1)) == 0
         assert count_apps(elim(p, ElimAlgo.FAB)) > 0
         assert count_apps(elim(p, ElimAlgo.C1, pre_eval=False)) > 0
-
-
-class TestHandCombinators:
-    def test_k_c(self):
-        m = check_no_var(hand_combinator("K_c", VInt(3)))
-        assert meval(MApp(m, MConst(VBool(False)))) == VInt(3)
-
-    def test_b_c(self):
-        inc = app(PLUS, VInt(1))
-        v = app(hand_combinator("B_c", inc).value, app(TIMES, VInt(2)), VInt(5))
-        assert v == VInt(11)
-
-    def test_c_c(self):
-        v = app(hand_combinator("C_c", VInt(1)).value, MINUS, VInt(10))
-        assert v == VInt(9)
-
-    def test_n_c1c2(self):
-        v = app(hand_combinator("N_c1c2", app(PLUS, VInt(2)), VInt(3)).value,
-                VBool(True))
-        assert v == VInt(5)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            hand_combinator("X_c", VInt(1))
-
-    @pytest.mark.parametrize("src,arg,want", [
-        ("\\x. 3", VInt(0), VInt(3)),                  # K_c
-        ("\\x. 1 + x", VInt(5), VInt(6)),              # B_c
-        ("\\x. x - 1", VInt(5), VInt(4)),              # C_c
-    ])
-    def test_hand_elimination_agrees_with_plain(self, src, arg, want):
-        p = purify(parse(src), PurifyCtx(Store()))
-        for pre in (False, True):
-            plain = transform(p, ElimAlgo.C1, pre_eval=pre, hand=False)
-            handy = transform(p, ElimAlgo.C1, pre_eval=pre, hand=True)
-            assert meval(MApp(plain, MConst(arg))) == want
-            assert meval(MApp(handy, MConst(arg))) == want
 
 
 class TestCbvDiscipline:

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
-from combterp import externs
+from combterp import externs, run_source
+from combterp.compare import observe_combinator
 from combterp.elim import ElimAlgo, make_combinators
 from combterp.errors import EvalTypeError, StepLimitExceeded
 from combterp.eval import eval as meval
+from combterp.frontend import parse
 from combterp.runtime import call_deep, fuel
 from combterp.syntax import MApp, MConst, VFun, VInt
 
@@ -56,3 +60,48 @@ class TestEval:
     def test_rejects_non_terms(self):
         with pytest.raises(TypeError):
             meval(VInt(1))
+
+
+COUNT_UP = "(((\\f.(f f)) (\\f.\\n. (1 + ((f f) (n + 1))))) 0)"
+COUNT_DOWN = ("(((\\f.(f f)) (\\f.\\n. if (n = 0) then 0 "
+              "else (1 + ((f f) (n - 1))) fi)) {n})")
+
+
+class TestFailedRuns:
+    @pytest.mark.parametrize("algo", list(ElimAlgo))
+    def test_budget_ended_run_leaves_no_cycle(self, algo):
+        # the failed run's stack must be freed by reference counting
+        e = parse(COUNT_UP)
+        gc.collect()
+        gc.disable()
+        try:
+            obs = observe_combinator(e, algo, budget=500_000)
+            assert obs.kind == "limit"
+            assert isinstance(obs.error, StepLimitExceeded)
+            assert obs.error.__traceback__ is None
+            assert gc.collect() < 1_000
+        finally:
+            gc.enable()
+
+
+    def test_call_deep_failure_leaves_no_cycle(self):
+        s, i = c(DEFS["S"].value), c(DEFS["I"].value)
+        sii = MApp(MApp(s, i), i)
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.raises(StepLimitExceeded):
+                with fuel(100_000):
+                    call_deep(meval, MApp(sii, sii))
+            assert gc.collect() < 1_000
+        finally:
+            gc.enable()
+
+
+class TestRunSource:
+    def test_deep_recursion_runs_on_a_deep_stack(self):
+        assert run_source(COUNT_DOWN.format(n=2000)) == VInt(2000)
+
+    def test_raises_the_error_that_ended_the_run(self):
+        with pytest.raises(EvalTypeError):
+            run_source("1 2")

@@ -8,7 +8,8 @@ from combterp.errors import EvalTypeError
 from combterp.eval import eval as meval
 from combterp.elim import ElimAlgo, transform
 from combterp.frontend import parse
-from combterp.purify import FUN_IF, PurifyCtx, fun_if_apply, make_get, make_set, purify
+from combterp.purify import FUN_IF, PurifyCtx, make_get, make_set, purify
+from combterp.runtime import apply_value
 from combterp.quickgen import GenConfig, gen_expr
 from combterp.store import Store
 from combterp.syntax import (DUMMY_IDENT, DUMMY_VAL, EGet, EIf, ESet, PAbs,
@@ -75,21 +76,26 @@ class TestShapes:
         assert s.trace == []
 
 
+def apply_if(cond, then_branch, else_branch):
+    return apply_value(apply_value(apply_value(FUN_IF, cond), then_branch),
+                       else_branch)
+
+
 class TestIfConstant:
     def test_selects_then(self):
         t = VFun(lambda _: VInt(1))
         o = VFun(lambda _: VInt(2))
-        assert fun_if_apply(VBool(True), t, o) == VInt(1)
-        assert fun_if_apply(VBool(False), t, o) == VInt(2)
+        assert apply_if(VBool(True), t, o) == VInt(1)
+        assert apply_if(VBool(False), t, o) == VInt(2)
 
     def test_rejects_non_boolean_condition(self):
         f = VFun(lambda _: VInt(0))
         with pytest.raises(EvalTypeError):
-            fun_if_apply(VInt(1), f, f)
+            apply_if(VInt(1), f, f)
 
     def test_rejects_non_function_branch(self):
         with pytest.raises(EvalTypeError):
-            fun_if_apply(VBool(True), VInt(1), VFun(lambda _: VInt(0)))
+            apply_if(VBool(True), VInt(1), VFun(lambda _: VInt(0)))
 
     def test_if_is_marked_impure(self):
         assert FUN_IF.meta.pure is False

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from combterp.errors import UnboundTagError
-from combterp.store import Store, format_trace, fresh_store, store_get, store_set
+from combterp.store import Store
 from combterp.syntax import VInt
 
 
@@ -36,18 +36,6 @@ class TestStore:
         s.set("a", VInt(2))
         assert [(ev.kind, ev.tag, ev.value) for ev in s.trace] == [
             ("set", "b", VInt(1)), ("get", "a", VInt(0)), ("set", "a", VInt(2))]
-
-    def test_format_trace(self):
-        s = Store()
-        s.set("t", VInt(3))
-        s.get("t")
-        assert format_trace(s) == "SET t 3\nGET t 3"
-
-    def test_helpers(self):
-        s = fresh_store({"t": VInt(1)})
-        assert store_get("t", s) == VInt(1)
-        assert store_set("u", VInt(2), s) is s
-        assert s.get("u") == VInt(2)
 
 
 ops = st.lists(st.tuples(st.sampled_from("gs"), st.integers(0, 2),
