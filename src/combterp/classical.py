@@ -137,8 +137,8 @@ def _filter_classical(s: Store) -> Value:
 def classical_registry(s: Store) -> dict[str, externs.ExternDef]:
     """The shared registry with higher-order externs replaced by happ-based wrappers."""
     reg = externs.registry()
-    reg["compose"] = externs.ExternDef("compose", _compose_classical(s), 3, True)
-    reg["filter"] = externs.ExternDef("filter", _filter_classical(s), 2, True)
+    reg["compose"] = externs.ExternDef("compose", _compose_classical(s))
+    reg["filter"] = externs.ExternDef("filter", _filter_classical(s))
     return reg
 
 

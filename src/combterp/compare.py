@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -61,30 +62,44 @@ def _snapshot(s: Store) -> tuple:
     return trace, bindings
 
 
+@contextmanager
+def _no_cyclic_gc():
+    """Cyclic gc off for the block: the policy of observed transforms and runs.
+
+    Both allocate heavily and free what they build by reference counting,
+    so the collector's passes would only scan live terms; it runs again
+    afterwards.
+    """
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
+
+
 def _observe(body, s: Store, budget: int) -> Observation:
     """Run `body` under the budget on a deep stack, with cyclic gc off."""
     kind, value, error = "value", None, None
-    gc_was_on = gc.isenabled()
-    gc.disable()  # budget-bounded runs allocate heavily; collect afterwards
-    t0 = time.perf_counter()
-    try:
-        with fuel(budget):
-            try:
-                value = call_deep(body)
-            finally:
-                steps = budget - remaining()
-    except EvalTypeError as exc:
-        kind, error = "type_error", exc.with_traceback(None)
-    except (UnboundTagError, UnboundVarError) as exc:
-        kind, error = "unbound_tag", exc.with_traceback(None)
-    except StepLimitExceeded as exc:
-        kind, error = "limit", exc.with_traceback(None)
-    except (RecursionError, MemoryError) as exc:
-        kind, error = "recursion", exc.with_traceback(None)
-    finally:
-        eval_s = time.perf_counter() - t0
-        if gc_was_on:
-            gc.enable()
+    with _no_cyclic_gc():
+        t0 = time.perf_counter()
+        try:
+            with fuel(budget):
+                try:
+                    value = call_deep(body)
+                finally:
+                    steps = budget - remaining()
+        except EvalTypeError as exc:
+            kind, error = "type_error", exc.with_traceback(None)
+        except (UnboundTagError, UnboundVarError) as exc:
+            kind, error = "unbound_tag", exc.with_traceback(None)
+        except StepLimitExceeded as exc:
+            kind, error = "limit", exc.with_traceback(None)
+        except (RecursionError, MemoryError) as exc:
+            kind, error = "recursion", exc.with_traceback(None)
+        finally:
+            eval_s = time.perf_counter() - t0
     trace, bindings = _snapshot(s)
     return Observation(kind, value, trace, bindings, steps, eval_s, error)
 
@@ -100,7 +115,8 @@ def observe_combinator(e: Expr, algo: ElimAlgo, initial=None,
                        pre_eval: Optional[bool] = None) -> Observation:
     s = Store(initial)
     ctx = PurifyCtx(s)
-    m = call_deep(transform, purify(e, ctx), algo, pre_eval=pre_eval)
+    with _no_cyclic_gc():
+        m = call_deep(transform, purify(e, ctx), algo, pre_eval=pre_eval)
     assert not s.trace, "transforming must not touch the store"
     return _observe(lambda: meval(m), s, budget)
 

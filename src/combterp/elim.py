@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from . import refsem
@@ -299,8 +299,8 @@ def _fold(f: PExpr, a: PExpr) -> PExpr:
                 # a wrapper rejected the argument; surface it at run time
                 # in its proper place in the effect order instead
                 return PApp(f, a)
-            return PConst(VFun(folded.fn,
-                               replace(meta, args_seen=meta.args_seen + 1)))
+            return PConst(VFun(folded.fn, CombMeta(
+                meta.comb_id, meta.total_arity, meta.args_seen + 1, True)))
     return PApp(f, a)
 
 

@@ -16,8 +16,6 @@ from .syntax import CombMeta, VBool, VFun, VInt, VList, Value, is_ground, value_
 class ExternDef:
     name: str
     value: Value
-    arity: int
-    pure: bool
 
 
 def _want_int(v) -> int:
@@ -121,19 +119,19 @@ def _filter_value() -> Value:
 
 def _make_registry() -> dict[str, ExternDef]:
     defs = [
-        ExternDef("plus", _int2("plus", lambda a, b: a + b), 2, True),
-        ExternDef("minus", _int2("minus", lambda a, b: a - b), 2, True),
-        ExternDef("times", _int2("times", lambda a, b: a * b), 2, True),
-        ExternDef("leq", _cmp2("leq", lambda a, b: a <= b), 2, True),
-        ExternDef("lt", _cmp2("lt", lambda a, b: a < b), 2, True),
-        ExternDef("eq", VFun(_eq_fn, CombMeta("eq", 2, 0, True)), 2, True),
-        ExternDef("cons", VFun(_cons_fn, CombMeta("cons", 2, 0, True)), 2, True),
-        ExternDef("head", VFun(_head_fn, CombMeta("head", 1, 0, True)), 1, True),
-        ExternDef("tail", VFun(_tail_fn, CombMeta("tail", 1, 0, True)), 1, True),
-        ExternDef("isnil", VFun(_isnil_fn, CombMeta("isnil", 1, 0, True)), 1, True),
-        ExternDef("nil", VList(()), 0, True),
-        ExternDef("compose", compose_embed(), 3, True),
-        ExternDef("filter", _filter_value(), 2, True),
+        ExternDef("plus", _int2("plus", lambda a, b: a + b)),
+        ExternDef("minus", _int2("minus", lambda a, b: a - b)),
+        ExternDef("times", _int2("times", lambda a, b: a * b)),
+        ExternDef("leq", _cmp2("leq", lambda a, b: a <= b)),
+        ExternDef("lt", _cmp2("lt", lambda a, b: a < b)),
+        ExternDef("eq", VFun(_eq_fn, CombMeta("eq", 2, 0, True))),
+        ExternDef("cons", VFun(_cons_fn, CombMeta("cons", 2, 0, True))),
+        ExternDef("head", VFun(_head_fn, CombMeta("head", 1, 0, True))),
+        ExternDef("tail", VFun(_tail_fn, CombMeta("tail", 1, 0, True))),
+        ExternDef("isnil", VFun(_isnil_fn, CombMeta("isnil", 1, 0, True))),
+        ExternDef("nil", VList(())),
+        ExternDef("compose", compose_embed()),
+        ExternDef("filter", _filter_value()),
     ]
     return {d.name: d for d in defs}
 

@@ -12,31 +12,39 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from .syntax import RESERVED_PREFIX
+from .syntax import RESERVED_PREFIX, Node
 
 # ---------------------------------------------------------------- terms
 
 
-@dataclass(frozen=True)
-class RVar:
-    name: str
+class RVar(Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class RAbs:
-    param: str
-    body: "RTerm"
+class RAbs(Node):
+    __slots__ = ("param", "body")
+
+    def __init__(self, param: str, body: "RTerm"):
+        self.param = param
+        self.body = body
 
 
-@dataclass(frozen=True)
-class RApp:
-    fn: "RTerm"
-    arg: "RTerm"
+class RApp(Node):
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: "RTerm", arg: "RTerm"):
+        self.fn = fn
+        self.arg = arg
 
 
-@dataclass(frozen=True)
-class RFunConst:
-    sym: str
+class RFunConst(Node):
+    __slots__ = ("sym",)
+
+    def __init__(self, sym: str):
+        self.sym = sym
 
 
 RTerm = Union[RVar, RAbs, RApp, RFunConst]

@@ -1,12 +1,19 @@
-"""Native application with an optional step budget.
+"""Native application with an optional step budget, and the deep stack.
 
 Every interpreter in this package routes function application through
 `apply_value`, so a single fuel counter bounds divergent programs in all
 of them uniformly.  The counter is scoped with the `fuel` context
 manager; evaluation is single-threaded per interpreter instance.
+
+`call_deep` runs a job where deep Python recursion is safe: omega-encoded
+recursion and the transform of large terms nest hundreds of thousands of
+frames.  Every job runs on one long-lived worker thread with a 512 MB
+stack, under a recursion limit of 1.5 M frames that is set for the job
+and restored after it, so no other thread keeps it.
 """
 from __future__ import annotations
 
+import queue
 import sys
 import threading
 from contextlib import contextmanager
@@ -57,16 +64,16 @@ def apply_value(f, v):
 _STACK_BYTES = 512 * 1024 * 1024
 _RECURSION_LIMIT = 1_500_000
 
+_jobs = queue.SimpleQueue()     # (box, fn, args, kwargs), to the worker
+_done = queue.SimpleQueue()     # each job's box, back from the worker
+_turn = threading.Lock()        # one caller at a time hands the worker a job
+_start = threading.Lock()
+_worker = None
 
-def call_deep(fn, *args, **kwargs):
-    """Run fn in a worker thread with a large stack and recursion limit.
 
-    CPython 3.10 burns C stack per Python frame; omega-encoded recursion
-    legitimately nests tens of thousands of frames deep.
-    """
-    box = {}
-
-    def work():
+def _serve():
+    while True:
+        box, fn, args, kwargs = _jobs.get()
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(_RECURSION_LIMIT)
         try:
@@ -75,16 +82,44 @@ def call_deep(fn, *args, **kwargs):
             box["error"] = exc
         finally:
             sys.setrecursionlimit(old)
+        # keep nothing of a finished job: the caller owns all of it, and
+        # empties the box
+        del fn, args, kwargs
+        _done.put(box)
 
-    old_size = threading.stack_size(_STACK_BYTES)
-    try:
-        t = threading.Thread(target=work)
-        t.start()
-        t.join()
-    finally:
-        threading.stack_size(old_size)
+
+def _start_worker() -> threading.Thread:
+    """Start the worker once; only its start sees the large stack size."""
+    global _worker
+    with _start:
+        if _worker is None:
+            old_size = threading.stack_size(_STACK_BYTES)
+            try:
+                t = threading.Thread(target=_serve, name="combterp-deep",
+                                     daemon=True)
+                t.start()
+            finally:
+                threading.stack_size(old_size)
+            _worker = t
+    return _worker
+
+
+def call_deep(fn, *args, **kwargs):
+    """fn(*args, **kwargs) on the deep-stack worker; its error is re-raised here.
+
+    A call made on the worker itself runs inline; calls from other
+    threads take turns.
+    """
+    worker = _worker or _start_worker()
+    if threading.get_ident() == worker.ident:
+        return fn(*args, **kwargs)
+    box = {}
+    with _turn:
+        _jobs.put((box, fn, args, kwargs))
+        while _done.get() is not box:
+            pass  # the box of a call that was interrupted while it waited
     if "error" in box:
         # popped, not read: the traceback refers back to `box`, and an
         # exception left in it would tie the whole failed stack into a cycle
         raise box.pop("error")
-    return box["value"]
+    return box.pop("value")

@@ -216,28 +216,69 @@ class ESet:
 Expr = Union[EConst, EVar, EAbs, EApp, EIf, EGet, ESet]
 
 
+# ---------------------------------------------------------------- term nodes
+
+class Node:
+    """Base of the term node classes, which are built in bulk by transforms.
+
+    A subclass names its fields in `__slots__` and assigns them in its own
+    `__init__`: that costs under half of a frozen dataclass's construction.
+    The base gives field-wise `==` and `hash`, a dataclass-style `repr`
+    and positional `match` patterns.  Nodes are never mutated once built.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 # ---------------------------------------------------------------- purely functional syntax
 
-@dataclass(frozen=True)
-class PConst:
-    value: Value
+class PConst(Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Value):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class PVar:
-    name: str
+class PVar(Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class PAbs:
-    param: str
-    body: "PExpr"
+class PAbs(Node):
+    __slots__ = ("param", "body")
+
+    def __init__(self, param: str, body: "PExpr"):
+        self.param = param
+        self.body = body
 
 
-@dataclass(frozen=True)
-class PApp:
-    fn: "PExpr"
-    arg: "PExpr"
+class PApp(Node):
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: "PExpr", arg: "PExpr"):
+        self.fn = fn
+        self.arg = arg
 
 
 PExpr = Union[PConst, PVar, PAbs, PApp]

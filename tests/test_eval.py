@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import gc
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -96,6 +99,87 @@ class TestFailedRuns:
             assert gc.collect() < 1_000
         finally:
             gc.enable()
+
+
+class TestDeepWorker:
+    def test_calls_run_on_one_thread(self):
+        call_deep(int)  # the worker has started
+        threads = threading.active_count()
+        idents = {call_deep(threading.get_ident) for _ in range(50)}
+        assert len(idents) == 1
+        assert idents != {threading.get_ident()}
+        assert threading.active_count() == threads
+
+    def test_nested_call_returns(self):
+        def outer():
+            return threading.get_ident(), call_deep(threading.get_ident)
+
+        got = []
+        t = threading.Thread(target=lambda: got.append(call_deep(outer)),
+                             daemon=True)
+        t.start()
+        t.join(30)
+        assert not t.is_alive(), "nested call_deep deadlocked"
+        (here, nested), = got
+        assert here == nested
+
+    def test_caller_keeps_its_limits(self):
+        limit, size = sys.getrecursionlimit(), threading.stack_size()
+        assert call_deep(sys.getrecursionlimit) > limit
+        assert sys.getrecursionlimit() == limit
+        assert threading.stack_size() == size
+
+    def test_concurrent_callers_get_their_own_results(self):
+        got = {}
+
+        def square(n):
+            if n % 7 == 0:
+                raise ValueError(n)
+            return n * n
+
+        def caller(k):
+            out = []
+            for n in range(k * 100, k * 100 + 40):
+                try:
+                    out.append(call_deep(square, n))
+                except ValueError as exc:
+                    out.append(exc.args)
+            got[k] = out
+
+        callers = range(1, 5)  # four threads contend for the one worker
+        threads = [threading.Thread(target=caller, args=(k,)) for k in callers]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the lock between callers often
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in callers:
+            assert got[k] == [(n,) if n % 7 == 0 else n * n
+                              for n in range(k * 100, k * 100 + 40)]
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_worker_keeps_nothing_of_a_finished_job(self, raises):
+        class Arg:
+            pass
+
+        def job(a):
+            if raises:
+                raise ValueError("job failed")
+            return [a]
+
+        arg = Arg()
+        arg_ref = weakref.ref(arg)
+        try:
+            result = call_deep(job, arg)
+        except ValueError:
+            result = None
+        del arg, result
+        assert arg_ref() is None
 
 
 class TestRunSource:

@@ -104,14 +104,18 @@ class TestCompose:
 
 class TestRegistry:
     def test_metadata(self):
+        arity = {"plus": 2, "minus": 2, "times": 2, "leq": 2, "lt": 2,
+                 "eq": 2, "cons": 2, "head": 1, "tail": 1, "isnil": 1,
+                 "compose": 3, "filter": 2}
         for name, d in REG.items():
             assert d.name == name
-            assert d.pure
             if isinstance(d.value, VFun):
                 assert d.value.meta.comb_id == name
-                assert d.value.meta.total_arity == d.arity
+                assert d.value.meta.total_arity == arity.pop(name)
+                assert d.value.meta.pure
             else:
-                assert d.arity == 0
+                assert d.value == VList(())
+        assert not arity
 
     def test_returns_a_copy(self):
         r = registry()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from combterp.refsem import RAbs, RApp, RFunConst, RVar
 from combterp.syntax import (CombMeta, MApp, MConst, PAbs, PApp, PConst, PVar,
                              EAbs, EApp, EIf, ESet, EVar, VBool, VDummy, VFun,
                              VInt, VList, count_apps, format_mexpr,
@@ -115,3 +116,57 @@ class TestVFun:
     def test_format_value_rejects_non_values(self):
         with pytest.raises(TypeError):
             format_value(object())
+
+
+def _ptree():
+    return PApp(PAbs("x", PApp(PVar("x"), PConst(VInt(1)))), PVar("y"))
+
+
+def _rtree():
+    return RApp(RAbs("x", RApp(RVar("x"), RFunConst("int:1"))), RVar("y"))
+
+
+class TestNodes:
+    @pytest.mark.parametrize("build", [_ptree, _rtree])
+    def test_equal_trees_are_equal_and_hash_alike(self, build):
+        a, b = build(), build()
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_different_fields_are_unequal(self):
+        assert PVar("x") != PVar("y")
+        assert PApp(PVar("x"), PVar("y")) != PApp(PVar("y"), PVar("x"))
+        assert RAbs("x", RVar("x")) != RAbs("y", RVar("x"))
+
+    def test_same_fields_in_other_classes_are_unequal(self):
+        assert PVar("x") != RVar("x")
+        assert RVar("x") != PVar("x")
+        assert PApp(PVar("x"), PVar("y")) != RApp(PVar("x"), PVar("y"))
+        assert RVar("x") != RFunConst("x")
+        assert PConst(VInt(1)) != VInt(1)
+
+    def test_positional_match(self):
+        match _ptree():
+            case PApp(PAbs(x, PApp(PVar(y), PConst(VInt(n)))), PVar(z)):
+                assert (x, y, n, z) == ("x", "x", 1, "y")
+            case _:
+                pytest.fail("no match")
+        match _rtree():
+            case RApp(RAbs(x, RApp(RVar(y), RFunConst(sym))), RVar(z)):
+                assert (x, y, sym, z) == ("x", "x", "int:1", "y")
+            case _:
+                pytest.fail("no match")
+
+    def test_repr(self):
+        assert repr(PConst(VInt(1))) == "PConst(value=VInt(n=1))"
+        assert repr(PVar("x")) == "PVar(name='x')"
+        assert repr(PAbs("x", PVar("x"))) == "PAbs(param='x', body=PVar(name='x'))"
+        assert (repr(PApp(PVar("f"), PVar("a")))
+                == "PApp(fn=PVar(name='f'), arg=PVar(name='a'))")
+        assert repr(RVar("x")) == "RVar(name='x')"
+        assert repr(RFunConst("if")) == "RFunConst(sym='if')"
+        assert repr(RAbs("x", RVar("x"))) == "RAbs(param='x', body=RVar(name='x'))"
+        assert (repr(RApp(RVar("f"), RVar("a")))
+                == "RApp(fn=RVar(name='f'), arg=RVar(name='a'))")
