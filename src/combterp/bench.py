@@ -187,9 +187,15 @@ def _list_literal(items: list[int]) -> str:
 
 
 def corpus(full: bool = False) -> list[BenchProgram]:
-    fib_n = 28 if full else 10
-    ack_m, ack_n = (3, 6) if full else (3, 5)
-    sort_k = 2000 if full else 500
+    if full:
+        return scaled_corpus(fib_n=28, ack=(3, 6), sort_k=2000, queens=8)
+    return scaled_corpus(fib_n=10, ack=(3, 5), sort_k=500, queens=8)
+
+
+def scaled_corpus(fib_n: int, ack: tuple, sort_k: int,
+                  queens: int) -> list[BenchProgram]:
+    """The seven bench programs at the given sizes, in `corpus` order."""
+    ack_m, ack_n = ack
     sort_in = _sort_input(sort_k)
 
     def prog(name, template, params, oracle):
@@ -209,8 +215,8 @@ def corpus(full: bool = False) -> list[BenchProgram]:
              lambda: VList(tuple(VInt(x) for x in sorted(sort_in)))),
         prog("sort-imp", _SORT_IMP, {"input": _list_literal(sort_in)},
              lambda: VList(tuple(VInt(x) for x in sorted(sort_in)))),
-        prog("queens-imp", _QUEENS_IMP, {"size": 8, "size1": 9},
-             lambda: VInt(_queens(8))),
+        prog("queens-imp", _QUEENS_IMP, {"size": queens, "size1": queens + 1},
+             lambda: VInt(_queens(queens))),
     ]
 
 

@@ -12,10 +12,10 @@ from typing import Optional
 
 from . import externs
 from .errors import EvalTypeError, UnboundVarError
-from .runtime import apply_value, spend
+from .runtime import spend
 from .store import Store
-from .syntax import (CombMeta, EAbs, EApp, EConst, EGet, EIf, ESet, EVar,
-                     Expr, VBool, VFun, VList, Value)
+from .syntax import (EAbs, EApp, EConst, EGet, EIf, ESet, EVar, Expr, VBool,
+                     VFun, VList, Value, fun_meta, with_meta)
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def happ(f, v, s: Optional[Store] = None):
     """Dual application dispatch: native call or environment extension."""
     if isinstance(f, VFun):
         spend()
-        return f.fn(v)
+        return f(v)
     if isinstance(f, Closure):
         spend()
         return ceval(f.env.add(f.param, v), s, f.body)
@@ -106,11 +106,11 @@ def _compose_classical(s: Store) -> Value:
 
         def middle(g):
             _want_fun_like(g)
-            return VFun(lambda x: happ(f, happ(g, x, s), s))
+            return lambda x: happ(f, happ(g, x, s), s)
 
-        return VFun(middle)
+        return middle
 
-    return VFun(outer, CombMeta("compose", 3, 0, True))
+    return with_meta(outer, "compose", 3)
 
 
 def _filter_classical(s: Store) -> Value:
@@ -129,9 +129,9 @@ def _filter_classical(s: Store) -> Value:
                     kept.append(item)
             return VList(tuple(kept))
 
-        return VFun(inner)
+        return inner
 
-    return VFun(outer, CombMeta("filter", 2, 0, True))
+    return with_meta(outer, "filter", 2)
 
 
 def classical_registry(s: Store) -> dict[str, externs.ExternDef]:
@@ -147,8 +147,9 @@ def retarget_externs(e: Expr, registry: dict[str, externs.ExternDef]) -> Expr:
     def walk(x):
         match x:
             case EConst(v):
-                if isinstance(v, VFun) and v.meta and v.meta.comb_id in registry:
-                    return EConst(registry[v.meta.comb_id].value)
+                meta = fun_meta(v)
+                if meta is not None and meta.comb_id in registry:
+                    return EConst(registry[meta.comb_id].value)
                 return x
             case EAbs(p, b):
                 return EAbs(p, walk(b))

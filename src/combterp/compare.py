@@ -80,16 +80,26 @@ def _no_cyclic_gc():
 
 
 def _observe(body, s: Store, budget: int) -> Observation:
-    """Run `body` under the budget on a deep stack, with cyclic gc off."""
-    kind, value, error = "value", None, None
+    """Run `body` under the budget on a deep stack, with cyclic gc off.
+
+    The budget is set and `steps` read inside the deep-stack job, on the
+    worker, which runs one job at a time: runs observed from several
+    threads at once each spend their own fuel.
+    """
+    kind, value, error, steps = "value", None, None, None
+
+    def job():
+        nonlocal steps
+        with fuel(budget):
+            try:
+                return body()
+            finally:
+                steps = budget - remaining()
+
     with _no_cyclic_gc():
         t0 = time.perf_counter()
         try:
-            with fuel(budget):
-                try:
-                    value = call_deep(body)
-                finally:
-                    steps = budget - remaining()
+            value = call_deep(job)
         except EvalTypeError as exc:
             kind, error = "type_error", exc.with_traceback(None)
         except (UnboundTagError, UnboundVarError) as exc:

@@ -28,8 +28,8 @@ from . import runtime as _rt
 from .errors import (EvalTypeError, InterpError, StepLimitExceeded,
                      UnexpectedNodeError)
 from .refsem import RAbs, RApp, RFunConst, RTerm, RVar
-from .syntax import (CombMeta, MExpr, PAbs, PApp, PConst, PVar, PExpr, VBool,
-                     VFun, format_value, free_vars)
+from .syntax import (MExpr, PAbs, PApp, PConst, PVar, PExpr, VBool, VFun,
+                     free_vars, fun_meta, with_meta)
 
 
 class ElimAlgo(enum.Enum):
@@ -44,15 +44,10 @@ class ElimAlgo(enum.Enum):
 class CombinatorDef:
     comb_id: str
     total_arity: int
-    pure: bool
     value: VFun
     defining_term: RTerm
     n_abs: Optional[int] = None      # mask combinators only
     mask: Optional[tuple] = None     # True = branch receives the bound variables
-
-
-def _type_err(v):
-    raise EvalTypeError(f"cannot apply non-function value {format_value(v)}")
 
 
 def _exhausted():
@@ -61,8 +56,7 @@ def _exhausted():
 
 # names the generated combinator bodies refer to
 _GEN_GLOBALS = {"VFun": VFun, "VBool": VBool, "EvalTypeError": EvalTypeError,
-                "_new": object.__new__, "_rt": _rt, "_type_err": _type_err,
-                "_exhausted": _exhausted}
+                "_rt": _rt, "_exhausted": _exhausted}
 
 
 def _spend_src(cost: int) -> list[str]:
@@ -76,32 +70,23 @@ def _spend_src(cost: int) -> list[str]:
             f"    _rt._remaining = r - {cost}"]
 
 
-def _check_src(name: str) -> list[str]:
-    return [f"if type({name}) is not VFun:", f"    _type_err({name})"]
-
-
 def _native(comb_id: str, params: list[str], body: list[str]) -> VFun:
     """Compile a curried combinator from source text.
 
-    Every parameter gets one nested closure stage; the innermost stage
-    runs `body` itself, so a firing costs no call beyond the stages.  A
-    stage allocates its VFun with `object.__new__` and fills both slots:
-    running the Python-level `VFun.__init__` costs about as much again
-    as the rest of the stage.
+    Every parameter gets one nested `def` stage, and a stage returns the
+    next one itself: a stage is a plain function value.  The innermost
+    stage runs `body`, so a firing costs no call beyond the stages.  Only
+    the outermost stage, the roster constant, carries a `meta`.
     """
     lines = []
     for depth, p in enumerate(params):
         lines.append("    " * depth + f"def _s{depth}({p}):")
     lines += ["    " * len(params) + line for line in body]
     for depth in reversed(range(1, len(params))):
-        indent = "    " * depth
-        lines += [indent + line for line in ("fun = _new(VFun)",
-                                             f"fun.fn = _s{depth}",
-                                             "fun.meta = None",
-                                             "return fun")]
+        lines.append("    " * depth + f"return _s{depth}")
     ns = dict(_GEN_GLOBALS)
     exec("\n".join(lines), ns)
-    return VFun(ns["_s0"], CombMeta(comb_id, len(params), 0, True))
+    return with_meta(ns["_s0"], comb_id, len(params))
 
 
 def _mask_body(n_abs: int, mask: tuple) -> list[str]:
@@ -109,8 +94,10 @@ def _mask_body(n_abs: int, mask: tuple) -> list[str]:
 
     Branch applications are interleaved with the spine applications so the
     effect order matches plain call-by-value reduction of the spine.  This
-    is the hottest code in every evaluation, so the type and fuel checks
-    of apply_value are inlined, with fuel spent in bulk per firing.
+    is the hottest code in every evaluation, so the fuel of a firing is
+    spent in bulk before any application.  There is no type check: a
+    non-function's `__call__` raises the error `apply_value` would, after
+    the same spend.
     """
     k = len(mask)
     if k == 1:
@@ -120,7 +107,7 @@ def _mask_body(n_abs: int, mask: tuple) -> list[str]:
     def dist(src: str, dst: str) -> list[str]:
         out = []
         for x in xs:
-            out += _check_src(src) + [f"{dst} = {src}.fn({x})"]
+            out.append(f"{dst} = {src}({x})")
             src = dst
         return out
 
@@ -131,8 +118,7 @@ def _mask_body(n_abs: int, mask: tuple) -> list[str]:
         if mask[i]:
             body += dist(arg, "v")
             arg = "v"
-        body += _check_src("h")
-        body.append(f"h = h.fn({arg})" if i < k - 1 else f"return h.fn({arg})")
+        body.append(f"h = h({arg})" if i < k - 1 else f"return h({arg})")
     return body
 
 
@@ -142,27 +128,28 @@ def _mask_value(comb_id: str, n_abs: int, mask: tuple) -> VFun:
     return _native(comb_id, params, _mask_body(n_abs, mask))
 
 
+def _dist_term(name: str, abs_vars: list[str]) -> RTerm:
+    """The branch `name` applied to each bound variable in turn."""
+    t: RTerm = RVar(name)
+    for x in abs_vars:
+        t = RApp(t, RVar(x))
+    return t
+
+
 def _mask_term(n_abs: int, mask: tuple) -> RTerm:
-    k = len(mask)
-    branch_vars = [f"a{i}" for i in range(k)]
+    branch_vars = [f"a{i}" for i in range(len(mask))]
     abs_vars = [f"x{j}" for j in range(n_abs)]
-
-    def dist(name):
-        t: RTerm = RVar(name)
-        for x in abs_vars:
-            t = RApp(t, RVar(x))
-        return t
-
-    body = dist(branch_vars[0]) if mask[0] else RVar(branch_vars[0])
-    for name, m in zip(branch_vars[1:], mask[1:]):
-        body = RApp(body, dist(name) if m else RVar(name))
+    body, *rest = [_dist_term(name, abs_vars if m else [])
+                   for name, m in zip(branch_vars, mask)]
+    for branch in rest:
+        body = RApp(body, branch)
     for v in reversed(branch_vars + abs_vars):
         body = RAbs(v, body)
     return body
 
 
 def _identity_value() -> VFun:
-    return VFun(lambda x: x, CombMeta("I", 1, 0, True))
+    return with_meta(lambda x: x, "I", 1)
 
 
 def _sif_value(comb_id: str, n_abs: int) -> VFun:
@@ -170,13 +157,16 @@ def _sif_value(comb_id: str, n_abs: int) -> VFun:
 
     Each application checks and spends exactly as `apply_value` does, one
     unit at a time, so the branch is never charged before it is chosen.
+    The check calls a non-function, whose `__call__` raises before the
+    spend.
     """
     xs = [f"x{j}" for j in range(n_abs)]
 
     def apply_all(src: str, dst: str) -> list[str]:
         out = []
         for x in xs:
-            out += _check_src(src) + _spend_src(1) + [f"{dst} = {src}.fn({x})"]
+            out += [f"if type({src}) is not VFun:", f"    {src}({x})"]
+            out += _spend_src(1) + [f"{dst} = {src}({x})"]
             src = dst
         return out
 
@@ -193,16 +183,10 @@ def _sif_term(n_abs: int) -> RTerm:
     # are suspended in thunks so only the chosen one is applied
     branch_vars = ["f", "g", "h"]
     abs_vars = [f"x{j}" for j in range(n_abs)]
-
-    def dist(name):
-        t: RTerm = RVar(name)
-        for x in abs_vars:
-            t = RApp(t, RVar(x))
-        return t
-
-    thunk_t = RAbs("%t", dist("g"))
-    thunk_e = RAbs("%e", dist("h"))
-    body = RApp(RApp(RApp(RFunConst("if"), dist("f")), thunk_t), thunk_e)
+    thunk_t = RAbs("%t", _dist_term("g", abs_vars))
+    thunk_e = RAbs("%e", _dist_term("h", abs_vars))
+    body = RApp(RApp(RApp(RFunConst("if"), _dist_term("f", abs_vars)),
+                     thunk_t), thunk_e)
     body = RApp(body, RFunConst("dummy"))
     for v in reversed(branch_vars + abs_vars):
         body = RAbs(v, body)
@@ -231,15 +215,15 @@ def _mask_name(n_abs: int, mask: tuple) -> str:
 
 def _mask_def(n_abs: int, mask: tuple) -> CombinatorDef:
     name = _mask_name(n_abs, mask)
-    return CombinatorDef(name, len(mask) + n_abs, True,
+    return CombinatorDef(name, len(mask) + n_abs,
                          _mask_value(name, n_abs, mask), _mask_term(n_abs, mask),
                          n_abs=n_abs, mask=mask)
 
 
 def _basic_defs() -> dict[str, CombinatorDef]:
-    i_def = CombinatorDef("I", 1, True, _identity_value(), refsem.COMB_I)
+    i_def = CombinatorDef("I", 1, _identity_value(), refsem.COMB_I)
     # K is the single-branch all-constant mask combinator
-    k_def = CombinatorDef("K", 2, True, _mask_value("K", 1, (False,)),
+    k_def = CombinatorDef("K", 2, _mask_value("K", 1, (False,)),
                           _mask_term(1, (False,)), n_abs=1, mask=(False,))
     s_def = _mask_def(1, (True, True))
     return {"I": i_def, "K": k_def, "S": s_def}
@@ -262,7 +246,7 @@ def _roster(algo: ElimAlgo) -> dict[str, CombinatorDef]:
     for mask in ((False, True), (True, False), (False, False)):
         d = _mask_def(1, mask)
         defs[d.comb_id] = d
-    sif = CombinatorDef("S_IF", 4, True, _sif_value("S_IF", 1), _sif_term(1))
+    sif = CombinatorDef("S_IF", 4, _sif_value("S_IF", 1), _sif_term(1))
     defs["S_IF"] = sif
     if algo is ElimAlgo.C1:
         return defs
@@ -275,12 +259,12 @@ def _roster(algo: ElimAlgo) -> dict[str, CombinatorDef]:
         defs[d.comb_id] = d
     d = _mask_def(2, (True, True, True))  # two abstractions, double application
     defs[d.comb_id] = d
-    defs["K^2"] = CombinatorDef("K^2", 3, True, _mask_value("K^2", 2, (False,)),
+    defs["K^2"] = CombinatorDef("K^2", 3, _mask_value("K^2", 2, (False,)),
                                 _mask_term(2, (False,)), n_abs=2, mask=(False,))
-    defs["I^2"] = CombinatorDef("I^2", 2, True,
+    defs["I^2"] = CombinatorDef("I^2", 2,
                                 _native("I^2", ["x", "y"], ["return x"]),
                                 RAbs("x", RAbs("y", RVar("x"))))
-    defs["S_IF^2"] = CombinatorDef("S_IF^2", 5, True, _sif_value("S_IF^2", 2),
+    defs["S_IF^2"] = CombinatorDef("S_IF^2", 5, _sif_value("S_IF^2", 2),
                                    _sif_term(2))
     return defs
 
@@ -290,17 +274,18 @@ def _roster(algo: ElimAlgo) -> dict[str, CombinatorDef]:
 def _fold(f: PExpr, a: PExpr) -> PExpr:
     """The application `f a`, folded if it is a safe partial combinator application."""
     if type(f) is PConst and type(a) is PConst and type(f.value) is VFun:
-        meta = f.value.meta
+        meta = fun_meta(f.value)
         if (meta is not None and meta.pure
                 and meta.args_seen + 1 < meta.total_arity):
             try:
-                folded = f.value.fn(a.value)
+                folded = f.value(a.value)
             except InterpError:
                 # a wrapper rejected the argument; surface it at run time
                 # in its proper place in the effect order instead
                 return PApp(f, a)
-            return PConst(VFun(folded.fn, CombMeta(
-                meta.comb_id, meta.total_arity, meta.args_seen + 1, True)))
+            # a stage returns a fresh function, so the mark is its own
+            return PConst(with_meta(folded, meta.comb_id, meta.total_arity,
+                                    meta.args_seen + 1))
     return PApp(f, a)
 
 
@@ -349,7 +334,7 @@ def _match_if_shape(e: PExpr):
     head, then = f.fn.fn, f.arg
     if type(head) is not PConst or type(head.value) is not VFun:
         return None
-    meta = head.value.meta
+    meta = fun_meta(head.value)
     if (meta is not None and meta.comb_id == "IF"
             and then.param not in free_vars(then.body)
             and other.param not in free_vars(other.body)):
@@ -517,7 +502,7 @@ def find_cbv_violations(e, defs: Optional[dict] = None) -> list[CbvViolation]:
         for a in args:
             walk(a)
         if type(head) is PConst and isinstance(head.value, VFun):
-            meta = head.value.meta
+            meta = fun_meta(head.value)
             if meta is None or meta.args_seen:
                 return
             d = by_id.get(meta.comb_id)

@@ -2,6 +2,8 @@
 
 All wrappers are purely structural: they unwrap and rewrap Value
 constructors and never dispatch on closure-vs-native function kinds.
+Each extern is a plain function marked with its CombMeta; the stages it
+returns are plain functions too.
 """
 from __future__ import annotations
 
@@ -9,7 +11,8 @@ from dataclasses import dataclass
 
 from .errors import EvalTypeError
 from .runtime import apply_value
-from .syntax import CombMeta, VBool, VFun, VInt, VList, Value, is_ground, value_ground_eq
+from .syntax import (VBool, VFun, VInt, VList, Value, is_ground,
+                     value_ground_eq, with_meta)
 
 
 @dataclass(frozen=True)
@@ -33,15 +36,15 @@ def _want_list(v) -> VList:
 def _int2(name, op):
     def outer(a):
         x = _want_int(a)
-        return VFun(lambda b: VInt(op(x, _want_int(b))))
-    return VFun(outer, CombMeta(name, 2, 0, True))
+        return lambda b: VInt(op(x, _want_int(b)))
+    return with_meta(outer, name, 2)
 
 
 def _cmp2(name, op):
     def outer(a):
         x = _want_int(a)
-        return VFun(lambda b: VBool(op(x, _want_int(b))))
-    return VFun(outer, CombMeta(name, 2, 0, True))
+        return lambda b: VBool(op(x, _want_int(b)))
+    return with_meta(outer, name, 2)
 
 
 def _eq_fn(a):
@@ -53,11 +56,11 @@ def _eq_fn(a):
             raise EvalTypeError("= compares ground values only")
         return VBool(value_ground_eq(a, b))
 
-    return VFun(inner)
+    return inner
 
 
 def _cons_fn(v):
-    return VFun(lambda l: VList.cons(v, _want_list(l)))
+    return lambda l: VList.cons(v, _want_list(l))
 
 
 def _head_fn(l):
@@ -91,11 +94,11 @@ def compose_embed() -> Value:
 
         def middle(g):
             _want_fun(g)
-            return VFun(lambda x: apply_value(f, apply_value(g, x)))
+            return lambda x: apply_value(f, apply_value(g, x))
 
-        return VFun(middle)
+        return middle
 
-    return VFun(outer, CombMeta("compose", 3, 0, True))
+    return with_meta(outer, "compose", 3)
 
 
 def _filter_value() -> Value:
@@ -112,9 +115,9 @@ def _filter_value() -> Value:
                     kept.append(item)
             return VList(tuple(kept))
 
-        return VFun(inner)
+        return inner
 
-    return VFun(outer, CombMeta("filter", 2, 0, True))
+    return with_meta(outer, "filter", 2)
 
 
 def _make_registry() -> dict[str, ExternDef]:
@@ -124,11 +127,11 @@ def _make_registry() -> dict[str, ExternDef]:
         ExternDef("times", _int2("times", lambda a, b: a * b)),
         ExternDef("leq", _cmp2("leq", lambda a, b: a <= b)),
         ExternDef("lt", _cmp2("lt", lambda a, b: a < b)),
-        ExternDef("eq", VFun(_eq_fn, CombMeta("eq", 2, 0, True))),
-        ExternDef("cons", VFun(_cons_fn, CombMeta("cons", 2, 0, True))),
-        ExternDef("head", VFun(_head_fn, CombMeta("head", 1, 0, True))),
-        ExternDef("tail", VFun(_tail_fn, CombMeta("tail", 1, 0, True))),
-        ExternDef("isnil", VFun(_isnil_fn, CombMeta("isnil", 1, 0, True))),
+        ExternDef("eq", with_meta(_eq_fn, "eq", 2)),
+        ExternDef("cons", with_meta(_cons_fn, "cons", 2)),
+        ExternDef("head", with_meta(_head_fn, "head", 1)),
+        ExternDef("tail", with_meta(_tail_fn, "tail", 1)),
+        ExternDef("isnil", with_meta(_isnil_fn, "isnil", 1)),
         ExternDef("nil", VList(())),
         ExternDef("compose", compose_embed()),
         ExternDef("filter", _filter_value()),

@@ -272,7 +272,7 @@ def check_closed(e: Expr) -> Expr:
 
 def format_expr(e: Expr) -> str:
     """Print an Expr back in the surface grammar (fully parenthesized)."""
-    from .syntax import EAbs, EApp, EConst, EGet, EIf, ESet, EVar, VFun, format_value
+    from .syntax import EAbs, EApp, EConst, EGet, EIf, ESet, EVar, format_value
 
     reg = externs.registry()
     by_value = {id(d.value): name for name, d in reg.items()}
@@ -282,8 +282,6 @@ def format_expr(e: Expr) -> str:
             case EConst(v):
                 if id(v) in by_value:
                     return by_value[id(v)]
-                if isinstance(v, VFun):
-                    return repr(v)
                 return format_value(v)
             case EVar(name):
                 return name

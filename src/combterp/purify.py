@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from .errors import EvalTypeError
 from .runtime import apply_value
 from .store import Store
-from .syntax import (CombMeta, DUMMY_IDENT, DUMMY_VAL, EAbs, EApp, EConst,
-                     EGet, EIf, ESet, EVar, Expr, PAbs, PApp, PConst, PVar,
-                     PExpr, VBool, VFun)
+from .syntax import (DUMMY_IDENT, DUMMY_VAL, EAbs, EApp, EConst, EGet, EIf,
+                     ESet, EVar, Expr, PAbs, PApp, PConst, PVar, PExpr, VBool,
+                     VFun, with_meta)
 
 
 def _fun_if_impl(cond):
@@ -30,14 +30,14 @@ def _fun_if_impl(cond):
             chosen = th if cond.b else el
             return apply_value(chosen, DUMMY_VAL)
 
-        return VFun(with_else)
+        return with_else
 
-    return VFun(with_then)
+    return with_then
 
 
 # The one distinguished IF constant; variable elimination recognizes it
-# by identity.  Marked impure so pre-evaluation never folds it.
-FUN_IF = VFun(_fun_if_impl, CombMeta("IF", 3, 0, False))
+# by its meta.  Marked impure so pre-evaluation never folds it.
+FUN_IF = with_meta(_fun_if_impl, "IF", 3, pure=False)
 
 
 @dataclass
@@ -50,18 +50,16 @@ class PurifyCtx:
 def make_get(tag: str, ctx: PurifyCtx) -> VFun:
     if tag not in ctx._getfuns:
         store = ctx.store
-        ctx._getfuns[tag] = VFun(
-            lambda _: store.get(tag), CombMeta(f"get!{tag}", 1, 0, False)
-        )
+        ctx._getfuns[tag] = with_meta(lambda _: store.get(tag),
+                                      f"get!{tag}", 1, pure=False)
     return ctx._getfuns[tag]
 
 
 def make_set(tag: str, ctx: PurifyCtx) -> VFun:
     if tag not in ctx._setfuns:
         store = ctx.store
-        ctx._setfuns[tag] = VFun(
-            lambda v: store.set(tag, v), CombMeta(f"set!{tag}", 1, 0, False)
-        )
+        ctx._setfuns[tag] = with_meta(lambda v: store.set(tag, v),
+                                      f"set!{tag}", 1, pure=False)
     return ctx._setfuns[tag]
 
 

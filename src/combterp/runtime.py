@@ -1,9 +1,13 @@
 """Native application with an optional step budget, and the deep stack.
 
-Every interpreter in this package routes function application through
-`apply_value`, so a single fuel counter bounds divergent programs in all
-of them uniformly.  The counter is scoped with the `fuel` context
-manager; evaluation is single-threaded per interpreter instance.
+A function value is a plain Python function, so applying one is `f(v)`.
+Every application spends one unit of a single fuel counter first: in
+`apply_value`, in `eval`'s inlined copy of it and in the generated
+combinator bodies, so the counter bounds divergent programs in every
+interpreter uniformly.  It is one module global, scoped with the `fuel`
+context manager.  Runs that set it inside their `call_deep` job, as
+`compare` does, cannot disturb each other: the worker runs one job at a
+time.
 
 `call_deep` runs a job where deep Python recursion is safe: omega-encoded
 recursion and the transform of large terms nest hundreds of thousands of
@@ -18,8 +22,8 @@ import sys
 import threading
 from contextlib import contextmanager
 
-from .errors import EvalTypeError, StepLimitExceeded
-from .syntax import VFun, format_value
+from .errors import StepLimitExceeded
+from .syntax import VFun
 
 _remaining = None  # None = unlimited
 
@@ -50,15 +54,19 @@ def spend():
 
 
 def apply_value(f, v):
-    """Apply a function value to an argument, spending one fuel unit."""
+    """Apply a function value to an argument, spending one fuel unit.
+
+    A non-function raises `EvalTypeError` from its own `__call__`, before
+    any fuel is spent: a type error comes before budget exhaustion.
+    """
     global _remaining
     if type(f) is not VFun:
-        raise EvalTypeError(f"cannot apply non-function value {format_value(f)}")
+        f(v)
     if _remaining is not None:  # the fuel check is inlined: this path is hot
         if _remaining <= 0:
             raise StepLimitExceeded("application step budget exhausted")
         _remaining -= 1
-    return f.fn(v)
+    return f(v)
 
 
 _STACK_BYTES = 512 * 1024 * 1024

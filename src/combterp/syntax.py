@@ -5,11 +5,18 @@ Surface programs are `Expr` trees.  Non-strictness elimination produces
 elimination produces an `MExpr`: the var-free subset of `PExpr`, built
 from `PConst` and `PApp` nodes only.  `MConst` and `MApp` are the same
 classes as `PConst` and `PApp`, so no copy separates the two languages.
+
+A function value is a plain Python function (`VFun` is the function
+type), so applying one is one host call.  Every other value has a
+`__call__` that raises `EvalTypeError`.
 """
 from __future__ import annotations
 
+import types
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
+
+from .errors import EvalTypeError
 
 RESERVED_PREFIX = "%"
 DUMMY_IDENT = "%d"  # binder of the thunks introduced by non-strictness elimination
@@ -17,14 +24,23 @@ DUMMY_IDENT = "%d"  # binder of the thunks introduced by non-strictness eliminat
 
 # ---------------------------------------------------------------- values
 
+def _not_a_function(self, arg):
+    """`__call__` of every non-function value: applying it is a type error."""
+    raise EvalTypeError(f"cannot apply non-function value {format_value(self)}")
+
+
 @dataclass(frozen=True)
 class VInt:
     n: int
+
+    __call__ = _not_a_function
 
 
 @dataclass(frozen=True)
 class VBool:
     b: bool
+
+    __call__ = _not_a_function
 
 
 class VList:
@@ -32,6 +48,7 @@ class VList:
 
     __slots__ = ("_head", "_rest", "length")
     __match_args__ = ("items",)
+    __call__ = _not_a_function
 
     def __init__(self, items=()):
         items = tuple(items)
@@ -92,7 +109,7 @@ class VList:
 
 @dataclass(frozen=True)
 class VDummy:
-    pass
+    __call__ = _not_a_function
 
 
 DUMMY_VAL = VDummy()
@@ -112,25 +129,22 @@ class CombMeta:
     pure: bool = True
 
 
-class VFun:
-    """A function value realized as a native closure.
+# A function value is a plain Python function, so applying one is one host
+# call.  Constants built at transform time carry their CombMeta in a
+# `meta` attribute; a stage made at run time carries none.
+VFun = types.FunctionType
 
-    Compared by identity only; the closure cannot be inspected.
-    """
 
-    __slots__ = ("fn", "meta")
+def fun_meta(f) -> Optional[CombMeta]:
+    """The CombMeta of a function constant, or None for any other value."""
+    return getattr(f, "meta", None)
 
-    def __init__(self, fn: Callable, meta: Optional[CombMeta] = None):
-        self.fn = fn
-        self.meta = meta
 
-    def __repr__(self):
-        if self.meta is None:
-            return "<fun>"
-        m = self.meta
-        if m.args_seen:
-            return f"<{m.comb_id}+{m.args_seen}>"
-        return f"<{m.comb_id}>"
+def with_meta(fn, comb_id: str, total_arity: int, args_seen: int = 0,
+              pure: bool = True):
+    """`fn` marked as a known function constant; returns `fn`."""
+    fn.meta = CombMeta(comb_id, total_arity, args_seen, pure)
+    return fn
 
 
 Value = Union[VInt, VBool, VList, VDummy, VFun]
@@ -166,8 +180,13 @@ def format_value(v: Value) -> str:
             return "[" + ", ".join(format_value(x) for x in items) + "]"
         case VDummy():
             return "dummy"
-        case VFun():
-            return repr(v)
+        case VFun():  # `<S>`, `<K+1>` by the meta; any other function `<fun>`
+            m = fun_meta(v)
+            if m is None:
+                return "<fun>"
+            if m.args_seen:
+                return f"<{m.comb_id}+{m.args_seen}>"
+            return f"<{m.comb_id}>"
     raise TypeError(f"not a value: {v!r}")
 
 
@@ -328,12 +347,9 @@ def format_mexpr(e: MExpr) -> str:
     """Textual combinator notation, e.g. ((S I) I)."""
     match e:
         case MConst(v):
-            if isinstance(v, VFun):
-                if v.meta is None:
-                    return "<fun>"
-                if v.meta.args_seen:
-                    return f"<{v.meta.comb_id}+{v.meta.args_seen}>"
-                return v.meta.comb_id
+            m = fun_meta(v)
+            if m is not None and not m.args_seen:
+                return m.comb_id  # a combinator by its bare name
             return format_value(v)
         case MApp(f, a):
             return f"({format_mexpr(f)} {format_mexpr(a)})"

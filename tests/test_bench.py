@@ -107,3 +107,42 @@ class TestHarness:
             "sort-omega", "sort-imp", "queens-imp"]
         full = bench.corpus(full=True)
         assert full[0].params["n"] > desk[0].params["n"]
+
+
+# ---------------------------------------------------------------- pinned counts
+
+# Steps (native applications) and unfolded term sizes of the seven bench
+# programs at a small scale.  A change to how values are applied must
+# leave every one of them as it is.
+PINNED_STEPS = {  # classical, fab, c1, c2
+    "fib-omega": (467, 11_715, 2_909, 2_129),
+    "fib-imp": (400, 4_683, 1_100, 867),
+    "ack-omega": (242, 21_678, 4_153, 1_966),
+    "ack-imp": (215, 9_587, 1_859, 1_048),
+    "sort-omega": (1_585, 68_595, 13_417, 8_260),
+    "sort-imp": (1_445, 46_725, 9_269, 6_602),
+    "queens-imp": (1_811, 142_203, 25_916, 14_107),
+}
+PINNED_APP_COUNT = {  # fab, c1, c2
+    "fib-omega": (328, 60, 36),
+    "fib-imp": (118, 34, 27),
+    "ack-omega": (4_536, 197, 101),
+    "ack-imp": (1_524, 104, 62),
+    "sort-omega": (3_876, 308, 175),
+    "sort-imp": (1_665, 286, 176),
+    "queens-imp": (109_373, 1_050, 407),
+}
+
+
+class TestPinnedCounts:
+    def test_steps_and_term_sizes_at_small_scale(self):
+        programs = bench.scaled_corpus(fib_n=8, ack=(2, 2), sort_k=20,
+                                       queens=4)
+        report = run_bench(programs, budget=5_000_000)
+        steps, sizes = {}, {}
+        for r in report.rows:
+            steps.setdefault(r.program, []).append(r.steps)
+            if r.app_count is not None:
+                sizes.setdefault(r.program, []).append(r.app_count)
+        assert {p: tuple(s) for p, s in steps.items()} == PINNED_STEPS
+        assert {p: tuple(s) for p, s in sizes.items()} == PINNED_APP_COUNT

@@ -61,6 +61,17 @@ class TestTransform:
         assert main(["transform", f, "--algo", "c2", "--emit", "size"]) == 0
         assert capsys.readouterr().out.strip() == "applications: 0"
 
+    @pytest.mark.parametrize("text,algo,term", [
+        ("\\x. x", "c2", "I"),
+        ("plus 1", "c2", "<plus+1>"),
+        ("(\\x.\\y. x) 1", "c1", "(<B+2> 1)"),
+        ("\\x. (x x)", "fab", "((S I) I)"),
+    ])
+    def test_function_constants_print_by_their_meta(self, source, capsys,
+                                                    text, algo, term):
+        assert main(["transform", source(text), "--algo", algo]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == term
+
 
 class TestErrors:
     def test_parse_error(self, source, capsys):

@@ -8,7 +8,7 @@ from combterp.compare import (CompareResult, Observation, compare_expr,
                               observe_classical, observe_combinator)
 from combterp.elim import ElimAlgo
 from combterp.frontend import parse
-from combterp.syntax import EVar, VBool, VFun, VInt, VList
+from combterp.syntax import EVar, VBool, VInt, VList
 
 ALGOS = list(ElimAlgo)
 
@@ -19,7 +19,7 @@ def check(src, initial=None, budget=200_000):
 
 class TestNormalize:
     def test_functions_collapse_to_a_token(self):
-        assert normalize_value(VFun(lambda x: x)) == "fun"
+        assert normalize_value(lambda x: x) == "fun"
         assert normalize_value(Closure("x", EVar("x"), Env())) == "fun"
 
     def test_ground_values_pass_through(self):
@@ -28,7 +28,7 @@ class TestNormalize:
         assert normalize_value(l) is l
 
     def test_lists_holding_functions_normalize_elementwise(self):
-        got = normalize_value(VList((VInt(1), VFun(lambda x: x))))
+        got = normalize_value(VList((VInt(1), lambda x: x)))
         assert got == (VInt(1), "fun")
 
 
@@ -79,7 +79,7 @@ class TestCompareObservations:
         assert not r.agree and "values" in r.detail
 
     def test_functions_agree_as_a_class(self):
-        a = Observation("value", VFun(lambda x: x))
+        a = Observation("value", lambda x: x)
         b = Observation("value", Closure("x", EVar("x"), Env()))
         assert compare_observations(a, b).agree
 

@@ -18,8 +18,9 @@ from combterp.quickgen import GenConfig, gen_expr
 from combterp.refsem import RAbs, RApp
 from combterp.runtime import apply_value, fuel, remaining
 from combterp.store import Store
-from combterp.syntax import (MApp, MConst, PAbs, PApp, PConst, PVar, VBool,
-                             VFun, VInt, count_apps)
+from combterp.syntax import (CombMeta, MApp, MConst, PAbs, PApp, PConst, PVar,
+                             VBool, VFun, VInt, count_apps, format_mexpr,
+                             format_value, fun_meta)
 
 REG = externs.registry()
 PLUS = REG["plus"].value
@@ -52,7 +53,7 @@ class TestRosters:
 
     def test_metadata_is_consistent(self):
         for d in defs_for(ElimAlgo.C2).values():
-            meta = d.value.meta
+            meta = fun_meta(d.value)
             assert meta.comb_id == d.comb_id
             assert meta.total_arity == d.total_arity
             assert meta.args_seen == 0 and meta.pure
@@ -130,7 +131,7 @@ class TestFiringFuel:
         # one firing spends a unit per argument received plus one per
         # application in the body of its defining term, including the
         # spine application of a combinator that distributes nothing (N)
-        ident = VFun(lambda v: v)  # spends nothing itself
+        ident = lambda v: v  # spends nothing itself
         masks = [d for d in defs_for(ElimAlgo.C2).values() if d.mask is not None]
         assert len(masks) == 19
         for d in masks:
@@ -181,8 +182,8 @@ class TestPreEval:
         out = pre_eval_app(PApp(PConst(PLUS), PConst(VInt(2))))
         match out:
             case PConst(VFun() as f):
-                assert f.meta.comb_id == "plus"
-                assert f.meta.args_seen == 1
+                assert fun_meta(f).comb_id == "plus"
+                assert fun_meta(f).args_seen == 1
             case _:
                 pytest.fail(f"not folded: {out!r}")
 
@@ -191,7 +192,7 @@ class TestPreEval:
                                 PConst(VInt(2))))
         match out:
             case PApp(PConst(VFun() as f), PConst(VInt(2))):
-                assert f.meta.args_seen == 1
+                assert fun_meta(f).args_seen == 1
             case _:
                 pytest.fail(f"unexpected shape: {out!r}")
 
@@ -200,12 +201,12 @@ class TestPreEval:
         assert pre_eval_app(e) == e
 
     def test_never_folds_unannotated_functions(self):
-        e = PApp(PConst(VFun(lambda x: x)), PConst(VInt(1)))
+        e = PApp(PConst(lambda x: x), PConst(VInt(1)))
         assert pre_eval_app(e) == e
 
     def test_declines_when_the_wrapper_rejects(self):
         # = on a function argument is an error; it must fire at run time
-        e = PApp(PConst(EQ), PConst(VFun(lambda x: x)))
+        e = PApp(PConst(EQ), PConst(lambda x: x))
         assert pre_eval_app(e) == e
 
     def test_default_on_for_c1_off_for_fab(self):
@@ -213,6 +214,45 @@ class TestPreEval:
         assert count_apps(elim(p, ElimAlgo.C1)) == 0
         assert count_apps(elim(p, ElimAlgo.FAB)) > 0
         assert count_apps(elim(p, ElimAlgo.C1, pre_eval=False)) > 0
+
+
+class TestFunctionMetadata:
+    """Only constants built at transform time carry a `meta`."""
+
+    def test_roster_constants_print_by_name(self):
+        s = defs_for(ElimAlgo.FAB)["S"].value
+        assert fun_meta(s) == CombMeta("S", 3, 0, True)
+        assert format_value(s) == "<S>"
+        assert format_mexpr(MConst(s)) == "S"
+
+    def test_a_folded_constant_carries_its_stage(self):
+        k = defs_for(ElimAlgo.C2)["K"].value
+        out = pre_eval_app(PApp(PConst(k), PConst(VInt(1))))
+        assert type(out) is PConst and isinstance(out.value, VFun)
+        assert fun_meta(out.value) == CombMeta("K", 2, 1, True)
+        assert format_value(out.value) == "<K+1>"
+        assert format_mexpr(out) == "<K+1>"
+        assert fun_meta(k) == CombMeta("K", 2, 0, True)  # K itself unmarked
+
+    def test_folding_twice_counts_both_arguments(self):
+        s = PConst(defs_for(ElimAlgo.C2)["S"].value)
+        i = PConst(defs_for(ElimAlgo.C2)["I"].value)
+        out = pre_eval_app(PApp(PApp(s, i), i))
+        assert fun_meta(out.value) == CombMeta("S", 3, 2, True)
+        assert format_mexpr(out) == "<S+2>"
+
+    def test_a_stage_made_at_run_time_has_none(self):
+        k = defs_for(ElimAlgo.C2)["K"].value
+        for stage in (apply_value(k, VInt(1)),
+                      meval(MApp(MConst(k), MConst(VInt(1))))):
+            assert isinstance(stage, VFun)
+            assert fun_meta(stage) is None
+            assert format_value(stage) == "<fun>"
+            assert format_mexpr(MConst(stage)) == "<fun>"
+
+    def test_non_functions_have_none(self):
+        for v in (VInt(1), VBool(False), REG["nil"].value):
+            assert fun_meta(v) is None
 
 
 class TestCbvDiscipline:

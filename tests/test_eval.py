@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import gc
 import sys
 import threading
@@ -8,13 +9,15 @@ import weakref
 import pytest
 
 from combterp import externs, run_source
-from combterp.compare import observe_combinator
+from combterp.classical import happ
+from combterp.compare import observe_classical, observe_combinator
 from combterp.elim import ElimAlgo, make_combinators
 from combterp.errors import EvalTypeError, StepLimitExceeded
 from combterp.eval import eval as meval
 from combterp.frontend import parse
-from combterp.runtime import call_deep, fuel
-from combterp.syntax import MApp, MConst, VFun, VInt
+from combterp.runtime import apply_value, call_deep, fuel, remaining
+from combterp.syntax import (DUMMY_VAL, EAbs, EApp, EConst, EIf, EVar, MApp,
+                             MConst, VBool, VFun, VInt, VList, format_value)
 
 PLUS = externs.registry()["plus"].value
 DEFS = make_combinators(ElimAlgo.FAB)
@@ -41,9 +44,9 @@ class TestEval:
         log = []
 
         def tap(tag, result):
-            return VFun(lambda v: (log.append(tag), result)[1])
+            return lambda v: (log.append(tag), result)[1]
 
-        ident = VFun(lambda v: v)
+        ident = lambda v: v
         e = MApp(MApp(c(tap("f", ident)), c(VInt(0))),
                  MApp(c(tap("g", VInt(1))), c(VInt(0))))
         assert meval(e) == VInt(1)
@@ -63,6 +66,111 @@ class TestEval:
     def test_rejects_non_terms(self):
         with pytest.raises(TypeError):
             meval(VInt(1))
+
+
+NON_FUNCTIONS = [VInt(1), VBool(True), VList(()), DUMMY_VAL]
+SCHEMES = ["classical", *ElimAlgo]
+
+
+def _programs(w):
+    """Programs that apply `w` to an argument, each in a different place."""
+    one = EConst(VInt(1))
+    return [
+        EApp(EConst(w), EConst(VInt(2))),                       # w 2
+        EApp(EAbs("f", EApp(EVar("f"), one)), EConst(w)),       # (\f. f 1) w
+        EApp(EAbs("f", EIf(EApp(EVar("f"), one), EConst(VInt(2)),
+                           EConst(VInt(3)))), EConst(w)),       # if (f 1) ...
+        EApp(EApp(EAbs("f", EAbs("g", EApp(EVar("f"), EVar("g")))),
+                  EConst(w)), EConst(VInt(5))),                 # (\f.\g. f g) w 5
+    ]
+
+
+# Observation.steps of each of `_programs`, under each scheme's default
+# pre-evaluation, as counted before function values became plain Python
+# functions
+CONTRACT_STEPS = {"classical": [0, 1, 1, 2], ElimAlgo.FAB: [0, 7, 31, 23],
+                  ElimAlgo.C1: [0, 3, 4, 8], ElimAlgo.C2: [0, 3, 4, 6]}
+
+
+def _observe(scheme, e, budget=100_000):
+    if scheme == "classical":
+        return observe_classical(e, budget=budget)
+    return observe_combinator(e, scheme, budget=budget)
+
+
+def _message(w):
+    return f"cannot apply non-function value {format_value(w)}"
+
+
+def _failure(thunk, budget=100):
+    """The EvalTypeError message of `thunk()` and the fuel it spent."""
+    with fuel(budget):
+        with pytest.raises(EvalTypeError) as info:
+            thunk()
+        return str(info.value), budget - remaining()
+
+
+@pytest.mark.parametrize("w", NON_FUNCTIONS, ids=lambda w: type(w).__name__)
+class TestApplicationContract:
+    """Applying a non-function raises today's EvalTypeError, wherever it is."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=str)
+    def test_every_scheme_ends_in_a_type_error(self, w, scheme):
+        # classical names the value by its repr, the combinator schemes
+        # by format_value
+        want = (f"cannot apply non-function value {w!r}"
+                if scheme == "classical" else _message(w))
+        got = [_observe(scheme, e) for e in _programs(w)]
+        assert [o.kind for o in got] == ["type_error"] * 4
+        assert [str(o.error) for o in got] == [want] * 4
+        assert [o.steps for o in got] == CONTRACT_STEPS[scheme]
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=str)
+    def test_type_error_comes_before_budget_exhaustion(self, w, scheme):
+        obs = _observe(scheme, _programs(w)[0], budget=0)
+        assert (obs.kind, obs.steps) == ("type_error", 0)
+
+    def test_apply_value_spends_nothing_on_it(self, w):
+        assert _failure(lambda: apply_value(w, VInt(0))) == (_message(w), 0)
+
+    def test_eval_spends_nothing_on_it(self, w):
+        e = MApp(c(w), c(VInt(0)))
+        assert _failure(lambda: meval(e)) == (_message(w), 0)
+
+    def test_inside_a_mask_body_after_its_bulk_spend(self, w):
+        # S w I 0: three stage applications, then the firing's three units
+        s, i = DEFS["S"].value, DEFS["I"].value
+        fire = lambda: functools.reduce(apply_value, [w, i, VInt(0)], s)
+        assert _failure(fire) == (_message(w), 6)
+
+    def test_inside_s_if_before_the_spend_it_checks(self, w):
+        defs = make_combinators(ElimAlgo.C2)
+        i = defs["I"].value
+        yes = apply_value(defs["K"].value, VBool(True))
+        no2 = apply_value(defs["K^2"].value, VBool(False))
+
+        def fire(name, args):
+            return lambda: functools.reduce(apply_value, args,
+                                            defs[name].value)
+
+        # one unit per stage; a non-function condition fails before its
+        # unit, a non-function branch after the condition's units
+        assert _failure(fire("S_IF", [w, i, i, VInt(0)])) == (_message(w), 4)
+        assert _failure(fire("S_IF", [yes, w, i, VInt(0)])) == (_message(w), 5)
+        assert _failure(fire("S_IF^2", [no2, i, w, VInt(0), VInt(1)])) == (
+            _message(w), 7)
+
+    def test_classical_happ_spends_nothing_on_it(self, w):
+        want = f"cannot apply non-function value {w!r}"
+        assert _failure(lambda: happ(w, VInt(0))) == (want, 0)
+
+
+@pytest.mark.parametrize("scheme", list(ElimAlgo), ids=str)
+def test_function_results_are_python_functions(scheme):
+    for src in ("\\x. x", "plus 1", "(\\x.\\y. x) 1", "compose (plus 1)"):
+        obs = _observe(scheme, parse(src))
+        assert obs.kind == "value"
+        assert isinstance(obs.value, VFun)
 
 
 COUNT_UP = "(((\\f.(f f)) (\\f.\\n. (1 + ((f f) (n + 1))))) 0)"
@@ -180,6 +288,47 @@ class TestDeepWorker:
             result = None
         del arg, result
         assert arg_ref() is None
+
+
+class TestFuelPerRun:
+    def test_overlapping_runs_each_spend_their_own_budget(self):
+        # one long run and a stream of short budget-ended runs, from two
+        # threads at once: each run must end as it does alone
+        long_run = (parse(COUNT_DOWN.format(n=3000)), 10_000_000)
+        short_run = (parse(COUNT_UP), 1_000)
+
+        def outcome(run):
+            obs = observe_combinator(run[0], ElimAlgo.C2, budget=run[1])
+            return obs.kind, obs.steps
+
+        alone = {run: outcome(run) for run in (long_run, short_run)}
+        assert alone[long_run][0] == "value"
+        assert alone[short_run][0] == "limit"
+        got = {long_run: [], short_run: []}
+        start = threading.Barrier(2)
+
+        def runner(run, times):
+            start.wait()
+            try:
+                for _ in range(times):
+                    got[run].append(outcome(run))
+            except Exception as exc:  # a crash is an outcome too
+                got[run].append(("crash", repr(exc)))
+
+        threads = [threading.Thread(target=runner, args=(long_run, 3)),
+                   threading.Thread(target=runner, args=(short_run, 60))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch between the threads often
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got[long_run] == [alone[long_run]] * 3
+        assert got[short_run] == [alone[short_run]] * 60
 
 
 class TestRunSource:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from combterp.errors import EvalTypeError
 from combterp.externs import compose_embed, registry
 from combterp.runtime import apply_value
-from combterp.syntax import VBool, VFun, VInt, VList
+from combterp.syntax import VBool, VFun, VInt, VList, fun_meta
 
 REG = registry()
 ints = st.integers(-1000, 1000)
@@ -46,7 +46,7 @@ class TestEquality:
         assert app("eq", VList((VInt(1),)), VList((VInt(1),))) == VBool(True)
 
     def test_rejects_functions(self):
-        f = VFun(lambda x: x)
+        f = lambda x: x
         with pytest.raises(EvalTypeError):
             app("eq", f, f)
         with pytest.raises(EvalTypeError):
@@ -79,13 +79,13 @@ class TestLists:
 
     @given(st.lists(ints, max_size=10), ints)
     def test_filter_matches_a_comprehension(self, xs, pivot):
-        pred = VFun(lambda v: VBool(v.n <= pivot))
+        pred = lambda v: VBool(v.n <= pivot)
         got = app("filter", pred, VList(tuple(VInt(x) for x in xs)))
         assert got == VList(tuple(VInt(x) for x in xs if x <= pivot))
 
     def test_filter_requires_boolean_predicate(self):
         with pytest.raises(EvalTypeError):
-            app("filter", VFun(lambda v: v), VList((VInt(1),)))
+            app("filter", lambda v: v, VList((VInt(1),)))
 
 
 class TestCompose:
@@ -99,7 +99,7 @@ class TestCompose:
         with pytest.raises(EvalTypeError):
             apply_value(compose_embed(), VInt(1))
         with pytest.raises(EvalTypeError):
-            app("compose", VFun(lambda v: v), VInt(1))
+            app("compose", lambda v: v, VInt(1))
 
 
 class TestRegistry:
@@ -110,9 +110,10 @@ class TestRegistry:
         for name, d in REG.items():
             assert d.name == name
             if isinstance(d.value, VFun):
-                assert d.value.meta.comb_id == name
-                assert d.value.meta.total_arity == arity.pop(name)
-                assert d.value.meta.pure
+                meta = fun_meta(d.value)
+                assert meta.comb_id == name
+                assert meta.total_arity == arity.pop(name)
+                assert meta.pure
             else:
                 assert d.value == VList(())
         assert not arity

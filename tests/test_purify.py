@@ -13,7 +13,7 @@ from combterp.runtime import apply_value
 from combterp.quickgen import GenConfig, gen_expr
 from combterp.store import Store
 from combterp.syntax import (DUMMY_IDENT, DUMMY_VAL, EGet, EIf, ESet, PAbs,
-                             PApp, PConst, PVar, VBool, VFun, VInt)
+                             PApp, PConst, PVar, VBool, VFun, VInt, fun_meta)
 
 
 def _is_pexpr(e) -> bool:
@@ -44,8 +44,8 @@ class TestShapes:
         match p:
             case PApp(PConst(VFun() as g), PConst(d)):
                 assert d is DUMMY_VAL
-                assert g.meta.comb_id == "get!t"
-                assert not g.meta.pure
+                assert fun_meta(g).comb_id == "get!t"
+                assert not fun_meta(g).pure
             case _:
                 pytest.fail(f"unexpected shape: {p!r}")
 
@@ -54,8 +54,8 @@ class TestShapes:
         p = purify(ESet("t", parse("3")), ctx)
         match p:
             case PApp(PConst(VFun() as f), PConst(VInt(3))):
-                assert f.meta.comb_id == "set!t"
-                assert not f.meta.pure
+                assert fun_meta(f).comb_id == "set!t"
+                assert not fun_meta(f).pure
             case _:
                 pytest.fail(f"unexpected shape: {p!r}")
 
@@ -83,22 +83,22 @@ def apply_if(cond, then_branch, else_branch):
 
 class TestIfConstant:
     def test_selects_then(self):
-        t = VFun(lambda _: VInt(1))
-        o = VFun(lambda _: VInt(2))
+        t = lambda _: VInt(1)
+        o = lambda _: VInt(2)
         assert apply_if(VBool(True), t, o) == VInt(1)
         assert apply_if(VBool(False), t, o) == VInt(2)
 
     def test_rejects_non_boolean_condition(self):
-        f = VFun(lambda _: VInt(0))
+        f = lambda _: VInt(0)
         with pytest.raises(EvalTypeError):
             apply_if(VInt(1), f, f)
 
     def test_rejects_non_function_branch(self):
         with pytest.raises(EvalTypeError):
-            apply_if(VBool(True), VInt(1), VFun(lambda _: VInt(0)))
+            apply_if(VBool(True), VInt(1), lambda _: VInt(0))
 
     def test_if_is_marked_impure(self):
-        assert FUN_IF.meta.pure is False
+        assert fun_meta(FUN_IF).pure is False
 
 
 class TestEndToEnd:

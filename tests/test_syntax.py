@@ -5,11 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from combterp.refsem import RAbs, RApp, RFunConst, RVar
-from combterp.syntax import (CombMeta, MApp, MConst, PAbs, PApp, PConst, PVar,
-                             EAbs, EApp, EIf, ESet, EVar, VBool, VDummy, VFun,
-                             VInt, VList, count_apps, format_mexpr,
-                             format_value, free_vars, is_ground,
-                             value_ground_eq)
+from combterp.syntax import (MApp, MConst, PAbs, PApp, PConst, PVar, EAbs,
+                             EApp, EIf, ESet, EVar, VBool, VDummy, VInt, VList,
+                             count_apps, format_mexpr, format_value, free_vars,
+                             is_ground, value_ground_eq, with_meta)
 
 ints = st.lists(st.integers(-50, 50), max_size=12)
 
@@ -50,24 +49,24 @@ class TestGroundValues:
         assert is_ground(VBool(False))
         assert is_ground(VDummy())
         assert is_ground(VList((VInt(1), VList())))
-        assert not is_ground(VFun(lambda x: x))
-        assert not is_ground(VList((VFun(lambda x: x),)))
+        assert not is_ground(lambda x: x)
+        assert not is_ground(VList((lambda x: x,)))
 
     def test_value_ground_eq(self):
         assert value_ground_eq(VInt(3), VInt(3))
         assert not value_ground_eq(VInt(3), VInt(4))
         assert not value_ground_eq(VInt(1), VBool(True))
         assert value_ground_eq(VList((VInt(1),)), VList((VInt(1),)))
-        f = VFun(lambda x: x)
+        f = lambda x: x
         assert value_ground_eq(f, f)  # identity only
-        assert not value_ground_eq(f, VFun(lambda x: x))
+        assert not value_ground_eq(f, lambda x: x)
         assert not value_ground_eq(f, VInt(0))
 
     def test_format_value(self):
         assert format_value(VInt(-2)) == "-2"
         assert format_value(VBool(True)) == "true"
         assert format_value(VList((VInt(1), VInt(2)))) == "[1, 2]"
-        assert format_value(VFun(lambda x: x, CombMeta("S", 3))) == "<S>"
+        assert format_value(with_meta(lambda x: x, "S", 3)) == "<S>"
 
 
 # random tree with a known number of application nodes
@@ -101,17 +100,18 @@ class TestMetrics:
         assert free_vars(PAbs("x", PVar("x"))) == frozenset()
 
     def test_format_mexpr(self):
-        s = MConst(VFun(lambda x: x, CombMeta("S", 3)))
-        i = MConst(VFun(lambda x: x, CombMeta("I", 1)))
+        s = MConst(with_meta(lambda x: x, "S", 3))
+        i = MConst(with_meta(lambda x: x, "I", 1))
         assert format_mexpr(MApp(MApp(s, i), i)) == "((S I) I)"
         assert format_mexpr(MConst(VInt(7))) == "7"
 
 
 class TestVFun:
     def test_repr_shows_partial_application(self):
-        f = VFun(lambda x: x, CombMeta("K", 2, args_seen=1))
-        assert repr(f) == "<K+1>"
-        assert repr(VFun(lambda x: x)) == "<fun>"
+        # a function value prints through its meta, not its Python repr
+        f = with_meta(lambda x: x, "K", 2, args_seen=1)
+        assert format_value(f) == "<K+1>"
+        assert format_value(lambda x: x) == "<fun>"
 
     def test_format_value_rejects_non_values(self):
         with pytest.raises(TypeError):
