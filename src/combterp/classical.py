@@ -51,14 +51,18 @@ EMPTY_ENV = Env()
 
 
 def happ(f, v, s: Optional[Store] = None):
-    """Dual application dispatch: native call or environment extension."""
+    """Dual application dispatch: native call or environment extension.
+
+    As in `eval`, a non-function raises `EvalTypeError` from its own
+    `__call__`, before any fuel is spent.
+    """
     if isinstance(f, VFun):
         spend()
         return f(v)
     if isinstance(f, Closure):
         spend()
         return ceval(f.env.add(f.param, v), s, f.body)
-    raise EvalTypeError(f"cannot apply non-function value {f!r}")
+    return f(v)
 
 
 def ceval(env: Env, s: Store, e: Expr):

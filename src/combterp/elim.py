@@ -1,19 +1,23 @@
 """Variable elimination: bracket abstraction into native-closure combinators.
 
-Three rule sets are available:
+A rule set is its roster of combinators; the eliminator reads its rules
+from the roster and never asks which rule set it runs:
 
-  FAB  the textbook S/K/I rules;
+  FAB  I, K and S: the textbook rules;
   C1   adds the selective B/C/N combinators, the conditional combinator
        S_IF, and automatic pre-evaluation of partial applications;
-  C2   additionally uses multi-arity combinators (two abstractions over
-       an application, one abstraction over a double application, and
-       their mask-generated selective-distribution variants).
+  C2   additionally has multi-arity combinators: one abstraction over a
+       double application (S_2 and its masks), and two abstractions at
+       once (S^2 and its masks, S_2^2, K^2, I^2 and S_IF^2).
 
-Rule priority within an abstraction node is most-specific-first:
-conditional patterns, multi-arity patterns, selective constant patterns,
-then the basic S/K/I rules.  Selective rules pass a branch as a constant
-only when it is a constant or a variable, never an application (the
-call-by-value soundness condition).
+Within an abstraction the rules are tried most-specific-first:
+conditional patterns, then spines of two applications, then of one,
+then the constant and identity rules.  A mask marks the branches of a
+spine that receive the bound variables.  A branch is passed as a
+constant only when it is a constant or a variable, never an application
+(the call-by-value soundness condition).  When the roster lacks the mask
+a spine needs, the spine distributes to every branch: that is S under
+FAB and the only form of S_2^2.
 """
 from __future__ import annotations
 
@@ -51,6 +55,8 @@ class CombinatorDef:
 
 
 def _exhausted():
+    # the firing stops here, so the run has spent its whole budget
+    _rt._remaining = 0
     raise StepLimitExceeded("application step budget exhausted")
 
 
@@ -289,34 +295,7 @@ def _fold(f: PExpr, a: PExpr) -> PExpr:
     return PApp(f, a)
 
 
-def pre_eval_app(e: PExpr) -> PExpr:
-    """Bottom-up folding of safe partial applications of pure combinators."""
-    if type(e) is PApp:
-        return _fold(pre_eval_app(e.fn), pre_eval_app(e.arg))
-    return e
-
-
 # ---------------------------------------------------------------- the algorithm
-
-@dataclass(frozen=True)
-class _Config:
-    algo: ElimAlgo
-    defs: dict
-    selective: bool
-    multi: bool
-    s_if: bool
-    auto_pre_eval: bool
-
-
-def _config(algo: ElimAlgo, pre_eval: Optional[bool]) -> _Config:
-    defs = make_combinators(algo)
-    if pre_eval is None:
-        pre_eval = algo is not ElimAlgo.FAB
-    return _Config(algo, defs, selective=algo is not ElimAlgo.FAB,
-                   multi=algo is ElimAlgo.C2,
-                   s_if=algo is not ElimAlgo.FAB,
-                   auto_pre_eval=pre_eval)
-
 
 def _is_constant(e: PExpr, bound: tuple) -> bool:
     """Constant in the rule sense: a constant, extern, or variable not in `bound`."""
@@ -342,105 +321,117 @@ def _match_if_shape(e: PExpr):
     return None
 
 
+# the rules of one binder count, read by index: the conditional, the
+# spines of one and of two applications, the identity and the constant
+_SIF, _SPINE2, _SPINE3, _I, _K = range(5)
+
+
+@functools.cache
+def _rules(algo: ElimAlgo) -> tuple:
+    """The roster's rules, indexed by binder count; None where it has none.
+
+    A spine is `(full, masks)`: the combinator that distributes to every
+    branch, and the selective ones by mask, or None if there are none.
+    A spine exists only with its `full` combinator, which takes any mask
+    the roster lacks; the conditional always distributes fully.
+    """
+    defs = _roster(algo)
+    # one shared node per combinator; terms are immutable
+    node = {cid: PConst(d.value) for cid, d in defs.items()}
+    masks = {}
+    for d in defs.values():
+        if d.mask is not None and len(d.mask) > 1:
+            masks.setdefault((d.n_abs, len(d.mask)), {})[d.mask] = node[d.comb_id]
+
+    def spine(n, k):
+        by_mask = masks.get((n, k), {})
+        full = by_mask.get((True,) * k)
+        return full and (full, by_mask if len(by_mask) > 1 else None)
+
+    table = [None]
+    for n, power in ((1, ""), (2, "^2")):  # `abstract` takes one or two
+        sif = node.get("S_IF" + power)
+        row = (sif and (sif, None), spine(n, 2), spine(n, 3),
+               node.get("I" + power), node.get("K" + power))
+        if any(row):
+            table.append(row)
+    return tuple(table)
+
+
 class _Eliminator:
-    def __init__(self, cfg: _Config):
-        self.cfg = cfg
-        # one shared node per combinator; terms are immutable
-        self.consts = {cid: PConst(d.value) for cid, d in cfg.defs.items()}
+    def __init__(self, rules: tuple, pre_eval: bool):
+        self.rules = rules
         # the constructor of every emitted application node
-        self.app = _fold if cfg.auto_pre_eval else PApp
+        self.app = _fold if pre_eval else PApp
 
     def elim(self, e: PExpr) -> PExpr:
         t = type(e)
         if t is PApp:
             return self.app(self.elim(e.fn), self.elim(e.arg))
         if t is PAbs:
-            return self.elim_abs(e.param, e.body)
+            return self.abstract((e.param,), e.body)
         if t is PConst or t is PVar:
             return e
         raise TypeError(f"not a PExpr: {e!r}")
 
-    def bracket2(self, x: str, y: str, e: PExpr) -> PExpr:
-        return self.elim_abs(x, PAbs(y, e))
+    def abstract(self, xs: tuple, body: PExpr) -> PExpr:
+        """[xs] body for one binder or two distinct ones.
 
-    def spine_apply(self, comb_id: str, brackets: list[PExpr]) -> PExpr:
-        out = self.consts[comb_id]
-        for b in brackets:
-            out = self.app(out, b)
-        return out
-
-    def mask_apply(self, n_abs: int, branches: list, bound: tuple,
-                   wrap) -> Optional[PExpr]:
-        """Distribute `bound` over an application spine with a mask combinator."""
-        mask = tuple(not _is_constant(b, bound) for b in branches)
-        name = _mask_name(n_abs, mask)
-        if name not in self.consts:
-            return None
-        args = [wrap(b) if m else b for b, m in zip(branches, mask)]
-        return self.spine_apply(name, args)
-
-    def elim_abs(self, x: str, body: PExpr) -> PExpr:
-        """[x] body.  The rules are tried most-specific-first within each shape."""
-        cfg = self.cfg
+        A rule fires only if the roster has its combinator, most specific
+        first: the conditional, a spine of two applications, one of one,
+        then the constant and the identity.  Two binders without a rule
+        are abstracted one at a time.
+        """
+        rules = self.rules[len(xs)]
         t = type(body)
         if t is PApp:
-            # conditional pattern: drop the dummy thunks
-            if cfg.s_if:
-                shape = _match_if_shape(body)
-                if shape is not None:
-                    return self.spine_apply(
-                        "S_IF", [self.elim_abs(x, b) for b in shape])
-            e1, e2 = body.fn, body.arg
-            bracket = functools.partial(self.elim_abs, x)
-            if cfg.multi and type(e1) is PApp:
-                made = self.mask_apply(1, [e1.fn, e1.arg, e2], (x,), bracket)
-                if made is not None:
-                    return made
-            if cfg.selective:
-                made = self.mask_apply(1, [e1, e2], (x,), bracket)
-                if made is not None:
-                    return made
-            return self.spine_apply("S", [bracket(e1), bracket(e2)])
-        if t is PVar and body.name == x:
-            return self.consts["I"]
-        if t is PVar or t is PConst:
-            return self.app(self.consts["K"], body)
-        if t is PAbs:
-            # multi-arity patterns over two distinct binders
-            if cfg.multi and body.param != x:
-                two = self._elim_abs2(x, body.param, body.body)
-                if two is not None:
-                    return two
-            return self.elim_abs(x, self.elim(body))
-        raise AssertionError(f"unhandled abstraction body: {body!r}")
-
-    def _elim_abs2(self, x: str, y: str, inner: PExpr) -> Optional[PExpr]:
-        """Rules over the pattern \\x.\\y.inner; None when nothing matches."""
-        t = type(inner)
-        if t is PApp:
-            shape = _match_if_shape(inner)
-            if shape is not None:
-                return self.spine_apply(
-                    "S_IF^2", [self.bracket2(x, y, b) for b in shape])
-            e1, e2 = inner.fn, inner.arg
-            if type(e1) is PApp:
-                # the double-application form exists only fully distributed
-                return self.spine_apply(
-                    "S_2^2",
-                    [self.bracket2(x, y, e1.fn), self.bracket2(x, y, e1.arg),
-                     self.bracket2(x, y, e2)])
-            return self.mask_apply(2, [e1, e2], (x, y),
-                                   lambda b: self.bracket2(x, y, b))
-        if t is PVar and inner.name == x:
-            return self.consts["I^2"]
-        if _is_constant(inner, (x, y)):
-            return self.app(self.consts["K^2"], inner)
-        return None
+            e1 = body.fn
+            branches = rules[_SIF] and _match_if_shape(body)
+            if branches:
+                # all three are distributed over; S_IF applies only the
+                # chosen branch
+                spine = rules[_SIF]
+            elif rules[_SPINE3] and type(e1) is PApp:
+                spine, branches = rules[_SPINE3], (e1.fn, e1.arg, body.arg)
+            else:
+                spine, branches = rules[_SPINE2], (e1, body.arg)
+            if spine:
+                app = self.app
+                out, masks = spine
+                if masks:
+                    mask = tuple([not _is_constant(b, xs) for b in branches])
+                    node = masks.get(mask)
+                    if node is not None:
+                        # a branch not distributed over is a constant or a
+                        # variable, passed as it is
+                        out = node
+                        for b, m in zip(branches, mask):
+                            out = app(out, self.abstract(xs, b) if m else b)
+                        return out
+                for b in branches:
+                    out = app(out, self.abstract(xs, b))
+                return out
+        elif t is PConst or (t is PVar and body.name not in xs):
+            if rules[_K] is not None:
+                return self.app(rules[_K], body)
+        elif t is PVar and body.name == xs[0]:
+            if rules[_I] is not None:
+                return rules[_I]
+        elif t is PAbs and len(xs) == 1:
+            # two binders at once, where the roster has rules for two
+            if len(self.rules) > 2 and body.param != xs[0]:
+                return self.abstract((xs[0], body.param), body.body)
+            return self.abstract(xs, self.elim(body))
+        if len(xs) == 1:
+            raise AssertionError(f"the roster has no rule for {body!r}")
+        return self.abstract(xs[:1], self.abstract(xs[1:], body))
 
 
 def elim(e: PExpr, algo: ElimAlgo, *,
          pre_eval: Optional[bool] = None) -> PExpr:
-    return _Eliminator(_config(algo, pre_eval)).elim(e)
+    if pre_eval is None:
+        pre_eval = algo is not ElimAlgo.FAB
+    return _Eliminator(_rules(algo), pre_eval).elim(e)
 
 
 def check_no_var(e: PExpr) -> MExpr:

@@ -35,7 +35,6 @@ def _default_weights() -> dict:
 class GenConfig:
     seed: int
     max_depth: int = 6
-    var_pool: int = 3
     tag_pool: int = 2
     allow_effects: bool = True
     weights: dict = field(default_factory=_default_weights)

@@ -21,9 +21,7 @@ class StoreEvent:
 
 class Store:
     def __init__(self, initial=None):
-        initial = dict(initial or {})
-        self.initial = dict(initial)
-        self.bindings = initial
+        self.bindings = dict(initial or {})
         self.trace: list[StoreEvent] = []
 
     def get(self, tag: str) -> Value:
@@ -37,11 +35,3 @@ class Store:
         self.bindings[tag] = v
         self.trace.append(StoreEvent("set", tag, v))
         return v
-
-    def replay(self) -> dict:
-        """Final bindings recomputed from the initial bindings and the trace."""
-        out = dict(self.initial)
-        for ev in self.trace:
-            if ev.kind == "set":
-                out[ev.tag] = ev.value
-        return out

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -8,15 +9,14 @@ from hypothesis import strategies as st
 
 from combterp import externs
 from combterp.elim import (CbvViolation, ElimAlgo, check_no_var, elim,
-                           find_cbv_violations, make_combinators,
-                           pre_eval_app, transform)
+                           find_cbv_violations, make_combinators, transform)
 from combterp.errors import UnexpectedNodeError
 from combterp.eval import eval as meval
 from combterp.frontend import parse
 from combterp.purify import FUN_IF, PurifyCtx, purify
 from combterp.quickgen import GenConfig, gen_expr
 from combterp.refsem import RAbs, RApp
-from combterp.runtime import apply_value, fuel, remaining
+from combterp.runtime import apply_value, call_deep, fuel, remaining
 from combterp.store import Store
 from combterp.syntax import (CombMeta, MApp, MConst, PAbs, PApp, PConst, PVar,
                              VBool, VFun, VInt, count_apps, format_mexpr,
@@ -36,6 +36,11 @@ def app(*vs):
 
 def defs_for(algo):
     return make_combinators(algo)
+
+
+def pre_eval(e):
+    """`e` with its safe partial applications folded; it has no binders."""
+    return elim(e, ElimAlgo.FAB, pre_eval=True)
 
 
 class TestRosters:
@@ -147,6 +152,112 @@ def run_surface(src, algo, **kw):
     return meval(transform(purify(parse(src), ctx), algo, **kw))
 
 
+# One small program per rule: its transform with pre-evaluation off, under
+# fab, c1 and c2.  A rule fires only where the roster has its combinator.
+RULE_CASES = {
+    "I": ("\\x. x", "I", "I", "I"),
+    "K": ("\\x. 1", "(K 1)", "(K 1)", "(K 1)"),
+    "S": ("\\x. (x x)", "((S I) I)", "((S I) I)", "((S I) I)"),
+    "B": ("\\x. (plus x)",
+          "((S (K plus)) I)", "((B plus) I)", "((B plus) I)"),
+    "C": ("\\x. (x 1)", "((S I) (K 1))", "((C I) 1)", "((C I) 1)"),
+    "N": ("\\x. (plus 1)",
+          "((S (K plus)) (K 1))", "((N plus) 1)", "((N plus) 1)"),
+    "S_IF": ("\\x. if x then 1 else 2 fi",
+             "((S ((S ((S (K IF)) I)) ((S (K K)) (K 1)))) "
+             "((S (K K)) (K 2)))",
+             "(((S_IF I) (K 1)) (K 2))", "(((S_IF I) (K 1)) (K 2))"),
+    "S_2": ("\\x. ((x x) x)", "((S ((S I) I)) I)", "((S ((S I) I)) I)",
+            "(((S_2 I) I) I)"),
+    "S_2[101]": ("\\x. ((x 1) x)", "((S ((S I) (K 1))) I)",
+                 "((S ((C I) 1)) I)", "(((S_2[101] I) 1) I)"),
+    "S_2[010]": ("\\x. ((plus x) 1)", "((S ((S (K plus)) I)) (K 1))",
+                 "((C ((B plus) I)) 1)", "(((S_2[010] plus) I) 1)"),
+    "S_2[000]": ("\\x. ((plus 1) 2)", "((S ((S (K plus)) (K 1))) (K 2))",
+                 "((C ((N plus) 1)) 2)", "(((S_2[000] plus) 1) 2)"),
+    "S_IF^2": ("\\x.\\y. if x then y else 2 fi",
+               "((S ((S (K S)) ((S ((S (K S)) ((S ((S (K S)) ((S (K K)) "
+               "(K IF)))) ((S (K K)) I)))) ((S ((S (K S)) ((S (K K)) "
+               "(K K)))) (K I))))) ((S ((S (K S)) ((S (K K)) (K K)))) "
+               "((S (K K)) (K 2))))",
+               "((S ((C ((B S_IF) ((B K) I))) I)) ((N K) 2))",
+               "(((S_IF^2 I^2) (K I)) (K^2 2))"),
+    # the two-binder double application exists only fully distributed
+    "S_2^2": ("\\x.\\y. ((x y) 1)",
+              "((S ((S (K S)) ((S ((S (K S)) ((S (K K)) I))) (K I)))) "
+              "((S (K K)) (K 1)))",
+              "((C ((B C) ((C ((B B) I)) I))) 1)",
+              "(((S_2^2 I^2) (K I)) (K^2 1))"),
+    "S^2": ("\\x.\\y. (x y)", "((S ((S (K S)) ((S (K K)) I))) (K I))",
+            "((C ((B B) I)) I)", "((S^2 I^2) (K I))"),
+    "S^2[01]": ("\\x.\\y. (plus y)",
+                "((S ((S (K S)) ((S (K K)) (K plus)))) (K I))",
+                "((C ((N B) plus)) I)", "((S^2[01] plus) (K I))"),
+    "S^2[10]": ("\\x.\\y. (x 1)",
+                "((S ((S (K S)) ((S (K K)) I))) ((S (K K)) (K 1)))",
+                "((C ((B N) I)) 1)", "((S^2[10] I^2) 1)"),
+    "S^2[00]": ("\\x.\\y. (plus 1)",
+                "((S ((S (K S)) ((S (K K)) (K plus)))) ((S (K K)) (K 1)))",
+                "((C ((N N) plus)) 1)", "((S^2[00] plus) 1)"),
+    "K^2": ("\\x.\\y. 1", "((S (K K)) (K 1))", "((N K) 1)", "(K^2 1)"),
+    "I^2": ("\\x.\\y. x", "((S (K K)) I)", "((B K) I)", "I^2"),
+    # no two-binder rule: the binders are abstracted one at a time
+    "second binder": ("\\x.\\y. y", "(K I)", "(K I)", "(K I)"),
+    "shadowed binder": ("\\x.\\x. x", "(K I)", "(K I)", "(K I)"),
+    "third binder": ("\\x.\\y.\\z. x",
+                     "((S ((S (K S)) ((S (K K)) (K K)))) ((S (K K)) I))",
+                     "((S ((N N) K)) I)", "((B K^2) I)"),
+}
+
+
+class TestRules:
+    @pytest.mark.parametrize("rule", list(RULE_CASES))
+    def test_each_rule_set_transforms_as_pinned(self, rule):
+        src, *want = RULE_CASES[rule]
+        p = purify(parse(src), PurifyCtx(Store()))
+        got = [format_mexpr(elim(p, algo, pre_eval=False))
+               for algo in ElimAlgo]
+        assert got == want
+
+
+# sha256 of format_mexpr and then count_apps of each transform, over the
+# quickgen programs of seeds 42-241; any change to a transform's output
+# changes them
+PINNED_DIGESTS = {
+    (ElimAlgo.FAB, False):
+        "af2da658f5e13c6104ccf6ced381d392dcd5d18c1c09097bb311f5a82a3bb836",
+    (ElimAlgo.FAB, True):
+        "3f75e1f5cfeab4dee7bc077f44c34207f7b8d1f9ac35b83bb39df88ee5c724fa",
+    (ElimAlgo.C1, False):
+        "8762843a17766eb94e81ed9bbb2e248690f38f85fed5ea3826a15e54a7ba10c8",
+    (ElimAlgo.C1, True):
+        "12f72f26dad2d639bf3a771d4dd9e4c98920282dffe537ee2a58fe709b95f12c",
+    (ElimAlgo.C2, False):
+        "41158dd3d8857d8a5849571c12ed7bbe82f9885300cceac764ba9520bc86bde7",
+    (ElimAlgo.C2, True):
+        "58ea66d129ccbcd411606353cfb362a1435f1c436afeb110756ac6f8ed809354",
+}
+
+
+@functools.cache
+def _digest_programs():
+    return [purify(gen_expr(GenConfig(seed=42 + i)), PurifyCtx(Store()))
+            for i in range(200)]
+
+
+@pytest.mark.parametrize("algo, pre", list(PINNED_DIGESTS), ids=str)
+def test_transform_output_is_pinned(algo, pre):
+    def digest():
+        h = hashlib.sha256()
+        for p in _digest_programs():
+            m = elim(p, algo, pre_eval=pre)
+            h.update(format_mexpr(m).encode())
+            h.update(str(count_apps(m)).encode())
+        return h.hexdigest()
+
+    assert call_deep(digest) == PINNED_DIGESTS[algo, pre]
+
+
 class TestTransform:
     @pytest.mark.parametrize("algo", list(ElimAlgo))
     def test_identity_function(self, algo):
@@ -179,7 +290,7 @@ class TestTransform:
 
 class TestPreEval:
     def test_folds_a_partial_pure_application(self):
-        out = pre_eval_app(PApp(PConst(PLUS), PConst(VInt(2))))
+        out = pre_eval(PApp(PConst(PLUS), PConst(VInt(2))))
         match out:
             case PConst(VFun() as f):
                 assert fun_meta(f).comb_id == "plus"
@@ -188,7 +299,7 @@ class TestPreEval:
                 pytest.fail(f"not folded: {out!r}")
 
     def test_never_folds_the_last_argument(self):
-        out = pre_eval_app(PApp(PApp(PConst(PLUS), PConst(VInt(1))),
+        out = pre_eval(PApp(PApp(PConst(PLUS), PConst(VInt(1))),
                                 PConst(VInt(2))))
         match out:
             case PApp(PConst(VFun() as f), PConst(VInt(2))):
@@ -198,16 +309,16 @@ class TestPreEval:
 
     def test_never_folds_impure_functions(self):
         e = PApp(PConst(FUN_IF), PConst(VBool(True)))
-        assert pre_eval_app(e) == e
+        assert pre_eval(e) == e
 
     def test_never_folds_unannotated_functions(self):
         e = PApp(PConst(lambda x: x), PConst(VInt(1)))
-        assert pre_eval_app(e) == e
+        assert pre_eval(e) == e
 
     def test_declines_when_the_wrapper_rejects(self):
         # = on a function argument is an error; it must fire at run time
         e = PApp(PConst(EQ), PConst(lambda x: x))
-        assert pre_eval_app(e) == e
+        assert pre_eval(e) == e
 
     def test_default_on_for_c1_off_for_fab(self):
         p = PAbs("x", PAbs("y", PVar("x")))
@@ -227,7 +338,7 @@ class TestFunctionMetadata:
 
     def test_a_folded_constant_carries_its_stage(self):
         k = defs_for(ElimAlgo.C2)["K"].value
-        out = pre_eval_app(PApp(PConst(k), PConst(VInt(1))))
+        out = pre_eval(PApp(PConst(k), PConst(VInt(1))))
         assert type(out) is PConst and isinstance(out.value, VFun)
         assert fun_meta(out.value) == CombMeta("K", 2, 1, True)
         assert format_value(out.value) == "<K+1>"
@@ -237,7 +348,7 @@ class TestFunctionMetadata:
     def test_folding_twice_counts_both_arguments(self):
         s = PConst(defs_for(ElimAlgo.C2)["S"].value)
         i = PConst(defs_for(ElimAlgo.C2)["I"].value)
-        out = pre_eval_app(PApp(PApp(s, i), i))
+        out = pre_eval(PApp(PApp(s, i), i))
         assert fun_meta(out.value) == CombMeta("S", 3, 2, True)
         assert format_mexpr(out) == "<S+2>"
 

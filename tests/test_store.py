@@ -46,15 +46,20 @@ ops = st.lists(st.tuples(st.sampled_from("gs"), st.integers(0, 2),
 def test_replay_matches_a_dict_oracle(ops):
     s = Store({"t0": VInt(0)})
     oracle = {"t0": VInt(0)}
+    sets = []
     for kind, tag_i, n in ops:
         tag = f"t{tag_i}"
         if kind == "s":
             s.set(tag, VInt(n))
             oracle[tag] = VInt(n)
+            sets.append((tag, VInt(n)))
         else:
             try:
-                s.get(tag)
+                assert s.get(tag) == oracle[tag]
             except UnboundTagError:
                 assert tag not in oracle
     assert s.bindings == oracle
-    assert s.replay() == oracle
+    set_events = [(ev.tag, ev.value) for ev in s.trace if ev.kind == "set"]
+    assert set_events == sets
+    # the initial bindings updated by the trace's sets give the final store
+    assert {"t0": VInt(0), **dict(set_events)} == s.bindings
