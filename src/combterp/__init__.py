@@ -28,8 +28,7 @@ def run_source(text: str, algo: ElimAlgo = ElimAlgo.C2,
     Raises the error that ended the run: a type error, an unbound tag,
     or the exhausted budget.
     """
-    obs = observe_combinator(check_closed(parse(text)), algo, initial,
-                             RUN_BUDGET)
+    obs = observe_combinator(text, algo, initial, RUN_BUDGET)
     if obs.kind != "value":
         raise obs.error
     return obs.value

@@ -244,7 +244,8 @@ def run_bench(programs=None, algos=ALL_ALGOS, repetitions: int = 1,
         programs = corpus()
     rows = []
     for p in programs:
-        e = check_closed(parse(p.source))
+        # on the deep stack: the closedness check recurses on the term
+        e = call_deep(lambda: check_closed(parse(p.source)))
         want = p.oracle()
         traces = {}
         for algo in algos:

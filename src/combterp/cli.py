@@ -7,10 +7,11 @@ import sys
 from . import bench as bench_mod
 from . import compare as compare_mod
 from . import quickgen, refsem
-from .elim import ElimAlgo, check_no_var, elim, find_cbv_violations
+from .elim import ElimAlgo, find_cbv_violations, transform
 from .errors import InterpError
 from .frontend import SourceProgram, check_closed, parse
 from .purify import PurifyCtx, purify
+from .runtime import call_deep
 from .store import Store
 from .syntax import count_apps, format_mexpr, format_value
 
@@ -24,16 +25,12 @@ def _read_source(path: str) -> SourceProgram:
         return SourceProgram(f.read(), path)
 
 
-def _load(path: str):
-    return check_closed(parse(_read_source(path)))
-
-
 def cmd_run(args) -> int:
-    e = _load(args.file)
+    src = _read_source(args.file)  # parsed on the deep stack, as it is run
     if args.algo == "classical":
-        obs = compare_mod.observe_classical(e, budget=args.budget)
+        obs = compare_mod.observe_classical(src, budget=args.budget)
     else:
-        obs = compare_mod.observe_combinator(e, ALGOS[args.algo],
+        obs = compare_mod.observe_combinator(src, ALGOS[args.algo],
                                              budget=args.budget)
     if obs.kind != "value":
         print(f"error: {obs.kind}: {obs.error}", file=sys.stderr)
@@ -48,18 +45,22 @@ def cmd_run(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    e = _load(args.file)
-    ctx = PurifyCtx(Store())
-    p = purify(e, ctx)
+    src = _read_source(args.file)
     algo = ALGOS[args.algo if args.algo != "classical" else "c2"]
     pre_eval = False if args.no_pre_eval else None  # None = the rule set's default
-    m = check_no_var(elim(p, algo, pre_eval=pre_eval))
-    bad = find_cbv_violations(m)
-    if args.emit != "size":
-        print(format_mexpr(m))
-    print(f"applications: {count_apps(m)}")
+
+    def job():  # every pass recurses on the term: all run on the deep stack
+        p = purify(check_closed(parse(src)), PurifyCtx(Store()))
+        m = transform(p, algo, pre_eval=pre_eval)
+        term = format_mexpr(m) if args.emit != "size" else None
+        return term, count_apps(m), len(find_cbv_violations(m))
+
+    term, apps, bad = call_deep(job)
+    if term is not None:
+        print(term)
+    print(f"applications: {apps}")
     if bad:
-        print(f"call-by-value violations: {len(bad)}", file=sys.stderr)
+        print(f"call-by-value violations: {bad}", file=sys.stderr)
         return 1
     return 0
 
@@ -68,7 +69,7 @@ def cmd_compare(args) -> int:
     algos = list(ALGOS.values())
     failures = excluded = total = 0
     if args.file:
-        programs = [(args.file, _load(args.file))]
+        programs = [(args.file, _read_source(args.file))]
         initial = None
     else:
         cfgs = [quickgen.GenConfig(args.seed + i, allow_effects=True)

@@ -19,6 +19,7 @@ from .elim import ElimAlgo, transform
 from .errors import (EvalTypeError, StepLimitExceeded, UnboundTagError,
                      UnboundVarError)
 from .eval import eval as meval
+from .frontend import SourceProgram, check_closed, parse
 from .purify import PurifyCtx, purify
 from .runtime import call_deep, fuel, remaining
 from .store import Store
@@ -79,25 +80,29 @@ def _no_cyclic_gc():
             gc.enable()
 
 
-def _observe(body, s: Store, budget: int) -> Observation:
-    """Run `body` under the budget on a deep stack, with cyclic gc off.
+def _observe(s: Store, budget: int, prepare, run) -> Observation:
+    """`run(prepare())` on a deep stack, with the budget on `run` alone.
 
-    The budget is set and `steps` read inside the deep-stack job, on the
-    worker, which runs one job at a time: runs observed from several
-    threads at once each spend their own fuel.
+    Both run in one deep-stack job with cyclic gc off, so a deep program
+    is as safe to parse and transform as to evaluate.  The budget is set
+    and `steps` read inside the job, on the worker, which runs one job at
+    a time: runs observed from several threads at once each spend their
+    own fuel.  `eval_s` times `run` alone.
     """
-    kind, value, error, steps = "value", None, None, None
+    kind, value, error, steps, eval_s = "value", None, None, None, 0.0
 
     def job():
-        nonlocal steps
+        nonlocal steps, eval_s
+        prepared = prepare()
+        t0 = time.perf_counter()
         with fuel(budget):
             try:
-                return body()
+                return run(prepared)
             finally:
                 steps = budget - remaining()
+                eval_s = time.perf_counter() - t0
 
     with _no_cyclic_gc():
-        t0 = time.perf_counter()
         try:
             value = call_deep(job)
         except EvalTypeError as exc:
@@ -108,27 +113,40 @@ def _observe(body, s: Store, budget: int) -> Observation:
             kind, error = "limit", exc.with_traceback(None)
         except (RecursionError, MemoryError) as exc:
             kind, error = "recursion", exc.with_traceback(None)
-        finally:
-            eval_s = time.perf_counter() - t0
     trace, bindings = _snapshot(s)
     return Observation(kind, value, trace, bindings, steps, eval_s, error)
 
 
-def observe_classical(e: Expr, initial=None, budget: int = DEFAULT_BUDGET) -> Observation:
+def _closed(program) -> Expr:
+    """An Expr as it is; a SourceProgram or text parsed and checked closed."""
+    if isinstance(program, (str, SourceProgram)):
+        return check_closed(parse(program))
+    return program
+
+
+def observe_classical(program, initial=None,
+                      budget: int = DEFAULT_BUDGET) -> Observation:
+    """Observe an Expr, a SourceProgram or source text under `run_classical`."""
     s = Store(initial)
-    e2 = retarget_externs(e, classical_registry(s))
-    return _observe(lambda: run_classical(e2, s), s, budget)
+    return _observe(
+        s, budget,
+        lambda: retarget_externs(_closed(program), classical_registry(s)),
+        lambda e: run_classical(e, s))
 
 
-def observe_combinator(e: Expr, algo: ElimAlgo, initial=None,
+def observe_combinator(program, algo: ElimAlgo, initial=None,
                        budget: int = DEFAULT_BUDGET,
                        pre_eval: Optional[bool] = None) -> Observation:
+    """Observe an Expr, a SourceProgram or source text under a rule set."""
     s = Store(initial)
-    ctx = PurifyCtx(s)
-    with _no_cyclic_gc():
-        m = call_deep(transform, purify(e, ctx), algo, pre_eval=pre_eval)
-    assert not s.trace, "transforming must not touch the store"
-    return _observe(lambda: meval(m), s, budget)
+
+    def prepare():
+        m = transform(purify(_closed(program), PurifyCtx(s)), algo,
+                      pre_eval=pre_eval)
+        assert not s.trace, "transforming must not touch the store"
+        return m
+
+    return _observe(s, budget, prepare, meval)
 
 
 @dataclass(frozen=True)
@@ -162,22 +180,24 @@ def compare_observations(a: Observation, b: Observation) -> CompareResult:
     return CompareResult(True, False)
 
 
-def compare_expr(e: Expr, algos, initial=None,
+def compare_expr(program, algos, initial=None,
                  budget: int = DEFAULT_BUDGET) -> dict[ElimAlgo, CompareResult]:
     """Compare each combinator scheme against the classical interpreter.
+
+    `program` is an Expr, a SourceProgram or source text.
 
     The classical side gets a tighter budget: it burns a Python stack
     frame per application, so divergent programs are cut off sooner.
     Combinator terms legitimately spend far more applications per source
     reduction and keep the full budget.
     """
-    baseline = observe_classical(e, initial, min(budget, 10_000))
+    baseline = observe_classical(program, initial, min(budget, 10_000))
     out = {}
     for algo in algos:
         if baseline.excluded:
             # one exhausted side already excludes the comparison
             out[algo] = CompareResult(True, True, "budget exhausted")
             continue
-        got = observe_combinator(e, algo, initial, budget)
+        got = observe_combinator(program, algo, initial, budget)
         out[algo] = compare_observations(baseline, got)
     return out

@@ -18,6 +18,10 @@ constant only when it is a constant or a variable, never an application
 (the call-by-value soundness condition).  When the roster lacks the mask
 a spine needs, the spine distributes to every branch: that is S under
 FAB and the only form of S_2^2.
+
+Without pre-evaluation the output is a DAG that builds each distinct
+subterm once (see `_SharingEliminator`); its tree is the term the rules
+define, and `eval` still applies every occurrence of a shared node.
 """
 from __future__ import annotations
 
@@ -359,10 +363,9 @@ def _rules(algo: ElimAlgo) -> tuple:
 
 
 class _Eliminator:
-    def __init__(self, rules: tuple, pre_eval: bool):
+    def __init__(self, rules: tuple, app=_fold):
         self.rules = rules
-        # the constructor of every emitted application node
-        self.app = _fold if pre_eval else PApp
+        self.app = app  # the constructor of every emitted application node
 
     def elim(self, e: PExpr) -> PExpr:
         t = type(e)
@@ -427,20 +430,82 @@ class _Eliminator:
         return self.abstract(xs[:1], self.abstract(xs[1:], body))
 
 
+def _hash_consing():
+    """A PApp constructor that builds one node per pair of operand nodes.
+
+    The table keys a node by the ids of its operands and holds the node,
+    which holds them: no id in a key can be reused while the table lives.
+    """
+    table = {}
+    get = table.get
+
+    def app(f: PExpr, a: PExpr) -> PApp:
+        key = (id(f), id(a))
+        node = get(key)
+        if node is None:
+            node = table[key] = PApp(f, a)
+        return node
+
+    return app
+
+
+class _SharingEliminator(_Eliminator):
+    """Builds each distinct subterm once: the output is a DAG.
+
+    Without pre-evaluation bracket abstraction copies a body once per
+    binder around it (under S/K/I the term triples per binder), and most
+    of the copies are equal.  Here every application is hash-consed and
+    `abstract` is memoised on its binders and the identity of its body,
+    so the cost follows the distinct nodes, not the tree; the tree is the
+    one `_Eliminator` builds.  Both tables live as long as the eliminator,
+    one `elim` call.
+    """
+
+    def __init__(self, rules: tuple):
+        # a closure, not a bound method: kept on `self`, that would make a
+        # cycle, left to the cyclic gc that transforms run without
+        super().__init__(rules, _hash_consing())
+        self._abstracted = {}  # (xs, id(body)) -> (body, [xs] body)
+
+    def abstract(self, xs: tuple, body: PExpr) -> PExpr:
+        key = (xs, id(body))
+        hit = self._abstracted.get(key)
+        if hit is None:
+            hit = self._abstracted[key] = (
+                body, _Eliminator.abstract(self, xs, body))
+        return hit[1]
+
+
 def elim(e: PExpr, algo: ElimAlgo, *,
          pre_eval: Optional[bool] = None) -> PExpr:
+    """[ ] of every abstraction in `e`, under the rule set `algo`.
+
+    Pre-evaluation is on by default for every rule set but FAB.  Without
+    it the output is a DAG: each distinct subterm is built once.
+    """
     if pre_eval is None:
         pre_eval = algo is not ElimAlgo.FAB
-    return _Eliminator(_rules(algo), pre_eval).elim(e)
+    if pre_eval:
+        # folding leaves nothing to share: no table lookup per node
+        return _Eliminator(_rules(algo)).elim(e)
+    return _SharingEliminator(_rules(algo)).elim(e)
 
 
 def check_no_var(e: PExpr) -> MExpr:
-    """Return `e` unchanged once a scan finds no variable or binder in it."""
+    """Return `e` unchanged once a scan finds no variable or binder in it.
+
+    Each distinct application node is scanned once, so a shared term
+    costs its distinct nodes, not its tree.
+    """
+    seen = set()
     todo = [e]
     while todo:
         t = todo.pop()
         tt = type(t)
         if tt is PApp:
+            if id(t) in seen:
+                continue
+            seen.add(id(t))
             todo.append(t.arg)  # the operator is scanned first
             todo.append(t.fn)
         elif tt is PVar:

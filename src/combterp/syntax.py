@@ -314,16 +314,33 @@ MExpr = Union[PConst, PApp]
 # ---------------------------------------------------------------- structural metrics
 
 def count_apps(e) -> int:
-    """Number of application nodes in a PExpr tree (abstractions not entered)."""
-    n = 0
+    """Application nodes in the tree of a PExpr (abstractions not entered).
+
+    A node shared within `e` counts once per occurrence, but its count is
+    worked out once and kept by id, so the time is linear in the
+    distinct nodes.
+    """
+    if type(e) is not PApp:
+        return 0
+    sizes = {}  # id of an application -> the applications in its tree
     todo = [e]
     while todo:
-        t = todo.pop()
-        if type(t) is PApp:
-            n += 1
-            todo.append(t.fn)
-            todo.append(t.arg)
-    return n
+        t = todo[-1]
+        f, a = t.fn, t.arg
+        nf = na = 0
+        if type(f) is PApp:
+            nf = sizes.get(id(f))
+            if nf is None:
+                todo.append(f)
+                continue
+        if type(a) is PApp:
+            na = sizes.get(id(a))
+            if na is None:
+                todo.append(a)
+                continue
+        todo.pop()
+        sizes[id(t)] = nf + na + 1
+    return sizes[id(e)]
 
 
 def free_vars(e) -> frozenset:

@@ -91,6 +91,13 @@ class TestHarness:
         with pytest.raises(BenchFailure, match="limit"):
             run_bench([small_fib()], budget=100)
 
+    def test_a_deep_program_is_parsed_on_the_deep_stack(self):
+        # an application chain far past the caller's recursion limit
+        src = SourceProgram("(\\x. x) " * 1500 + "1", "chain")
+        chain = BenchProgram("chain", src, {}, lambda: VInt(1))
+        report = run_bench([chain], budget=100_000)
+        assert [r.result for r in report.rows] == [VInt(1)] * 4
+
     def test_report_formats(self):
         report = run_bench([small_fib()], algos=(ElimAlgo.C2,),
                            budget=5_000_000)

@@ -73,6 +73,29 @@ class TestTransform:
         assert capsys.readouterr().out.splitlines()[0] == term
 
 
+# far past the caller's recursion limit: an application chain and a list
+CHAIN = "(\\x. x) " * 1500 + "1"
+LIST = "[" + ", ".join(map(str, range(3000))) + "]"
+
+
+class TestDeepPrograms:
+    """Parsing and the closedness check run on the deep stack too."""
+
+    @pytest.mark.parametrize("algo", ["classical", "fab", "c1", "c2"])
+    def test_run(self, source, capsys, algo):
+        assert main(["run", source(CHAIN), "--algo", algo]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+        assert main(["run", source(LIST), "--algo", algo]) == 0
+        assert capsys.readouterr().out.startswith("[0, 1, 2, ")
+
+    @pytest.mark.parametrize("algo", ["fab", "c1", "c2"])
+    def test_transform(self, source, capsys, algo):
+        assert main(["transform", source(CHAIN), "--algo", algo]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("(" * 1500 + "I I)")
+        assert out[1] == "applications: 1500"
+
+
 class TestErrors:
     def test_parse_error(self, source, capsys):
         assert main(["run", source("1 +")]) == 1

@@ -51,6 +51,33 @@ class TestObserve:
         assert limited.kind == "limit" and limited.excluded
 
 
+# far past the caller's recursion limit: an application chain and a list
+CHAIN = "(\\x. x) " * 1500 + "1"
+LIST = "[" + ", ".join(map(str, range(3000))) + "]"
+
+
+class TestDeepPrograms:
+    """Every pass of an observed run is on the deep stack, the front half too."""
+
+    def test_classical(self):
+        obs = observe_classical(parse(CHAIN))
+        assert (obs.kind, obs.value, obs.steps) == ("value", VInt(1), 1500)
+        obs = observe_classical(parse(LIST))
+        assert obs.kind == "value" and obs.value.length == 3000
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_combinator(self, algo):
+        obs = observe_combinator(parse(CHAIN), algo)
+        assert (obs.kind, obs.value, obs.steps) == ("value", VInt(1), 1500)
+        obs = observe_combinator(parse(LIST), algo)
+        assert obs.kind == "value" and obs.value.length == 3000
+
+    def test_source_text_is_parsed_on_the_deep_stack(self):
+        assert observe_classical(CHAIN).value == VInt(1)
+        for algo in ALGOS:
+            assert observe_combinator(LIST, algo).value.length == 3000
+
+
 class TestCompareObservations:
     def test_agreement(self):
         a = Observation("value", VInt(1))

@@ -2,19 +2,21 @@ from __future__ import annotations
 
 import functools
 import hashlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combterp import externs
+from combterp.compare import observe_combinator
 from combterp.elim import (CbvViolation, ElimAlgo, check_no_var, elim,
                            find_cbv_violations, make_combinators, transform)
 from combterp.errors import UnexpectedNodeError
 from combterp.eval import eval as meval
 from combterp.frontend import parse
 from combterp.purify import FUN_IF, PurifyCtx, purify
-from combterp.quickgen import GenConfig, gen_expr
+from combterp.quickgen import GenConfig, default_initial, gen_expr
 from combterp.refsem import RAbs, RApp
 from combterp.runtime import apply_value, call_deep, fuel, remaining
 from combterp.store import Store
@@ -256,6 +258,74 @@ def test_transform_output_is_pinned(algo, pre):
         return h.hexdigest()
 
     assert call_deep(digest) == PINNED_DIGESTS[algo, pre]
+
+
+def test_fab_steps_without_pre_eval_are_pinned():
+    # the shared output of fab without pre-evaluation is run as its tree:
+    # every occurrence is applied, so steps and outcomes do not move
+    steps, kinds = 0, Counter()
+    for i in range(200):
+        cfg = GenConfig(seed=42 + i)
+        obs = observe_combinator(gen_expr(cfg), ElimAlgo.FAB,
+                                 default_initial(cfg), pre_eval=False)
+        steps += obs.steps
+        kinds[obs.kind] += 1
+    assert steps == 1_993_816
+    assert kinds == {"value": 135, "type_error": 63, "limit": 2}
+
+
+def _nodes(m) -> dict:
+    """Every distinct node of a term, by id."""
+    found, todo = {}, [m]
+    while todo:
+        t = todo.pop()
+        if id(t) not in found:
+            found[id(t)] = t
+            if type(t) is PApp:
+                todo += [t.fn, t.arg]
+    return found
+
+
+def _distinct_apps(m) -> int:
+    return sum(type(t) is PApp for t in _nodes(m).values())
+
+
+class TestSharing:
+    SRC = "(\\f. \\x. \\y. f (f x y) (f y x)) plus 1 2"
+
+    def program(self):
+        return purify(parse(self.SRC), PurifyCtx(Store()))
+
+    def test_fab_without_pre_eval_builds_each_subterm_once(self):
+        m = elim(self.program(), ElimAlgo.FAB, pre_eval=False)
+        assert (count_apps(m), _distinct_apps(m)) == (151, 36)
+        assert meval(m) == VInt(6)
+
+    def test_pre_evaluated_terms_have_nothing_to_share(self):
+        m = elim(self.program(), ElimAlgo.C2, pre_eval=True)
+        assert (count_apps(m), _distinct_apps(m)) == (3, 3)
+
+    def test_two_calls_share_only_roster_nodes(self):
+        algo = ElimAlgo.FAB
+        first = _nodes(elim(self.program(), algo, pre_eval=False))
+        second = _nodes(elim(self.program(), algo, pre_eval=False))
+        roster = {id(d.value) for d in make_combinators(algo).values()}
+        shared = [first[i] for i in first.keys() & second.keys()]
+        assert shared
+        assert all(type(t) is PConst and id(t.value) in roster
+                   for t in shared)
+
+    def test_check_no_var_rejects_a_variable_under_a_shared_node(self):
+        twice = PApp(PConst(PLUS), PVar("x"))
+        with pytest.raises(UnexpectedNodeError):
+            check_no_var(PApp(twice, twice))
+
+    def test_shared_terms_are_measured_in_linear_time(self):
+        m = PConst(VInt(0))
+        for _ in range(100):  # a tree of 2**100 - 1 applications
+            m = PApp(m, m)
+        assert count_apps(m) == 2 ** 100 - 1
+        assert check_no_var(m) is m
 
 
 class TestTransform:

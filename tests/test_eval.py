@@ -337,6 +337,11 @@ class TestRunSource:
     def test_deep_recursion_runs_on_a_deep_stack(self):
         assert run_source(COUNT_DOWN.format(n=2000)) == VInt(2000)
 
+    @pytest.mark.parametrize("algo", list(ElimAlgo))
+    def test_a_deep_program_is_parsed_on_the_deep_stack(self, algo):
+        # an application chain far past the caller's recursion limit
+        assert run_source("(\\x. x) " * 1500 + "1", algo) == VInt(1)
+
     def test_raises_the_error_that_ended_the_run(self):
         with pytest.raises(EvalTypeError):
             run_source("1 2")
