@@ -7,22 +7,23 @@ traces are comparable across all interpreters in this package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import externs
 from .errors import EvalTypeError, UnboundVarError
 from .runtime import spend
 from .store import Store
-from .syntax import (EAbs, EApp, EConst, EGet, EIf, ESet, EVar, Expr, VBool,
-                     VFun, VList, Value, fun_meta, with_meta)
+from .syntax import (EAbs, EApp, EConst, EGet, EIf, ESet, EVar, Expr, Node,
+                     VBool, VFun, VList, Value, fun_meta, with_meta)
 
 
-@dataclass(frozen=True)
-class Closure:
-    param: str
-    body: Expr
-    env: "Env"
+class Closure(Node):
+    __slots__ = ("param", "body", "env")
+
+    def __init__(self, param: str, body: Expr, env: "Env"):
+        self.param = param
+        self.body = body
+        self.env = env
 
 
 class Env:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 
 from . import bench as bench_mod
@@ -102,6 +103,10 @@ def cmd_bench(args) -> int:
     print(bench_mod.format_report(report))
     for line in bench_mod.machine_lines(report):
         print(line)
+    # system time and minor faults show the deep stack's memory traffic
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    print(f"RUSAGE user_s={usage.ru_utime:.3f} system_s={usage.ru_stime:.3f} "
+          f"minor_faults={usage.ru_minflt}")
     return 0
 
 

@@ -547,26 +547,32 @@ def find_cbv_violations(e, defs: Optional[dict] = None) -> list[CbvViolation]:
     branch position they do not distribute over; an application there
     would be evaluated eagerly even though the source protected it under
     a binder.  A clean transform output yields no violations.
+
+    Each distinct spine is scanned once, so a shared term costs its
+    distinct nodes, and a violation inside a shared node is reported once.
     """
     if defs is None:
         defs = make_combinators(ElimAlgo.C2)
     by_id = {d.comb_id: d for d in defs.values()}
     found: list[CbvViolation] = []
-
-    def walk(t) -> None:
+    seen = set()
+    todo = [e]
+    while todo:
+        t = todo.pop()
+        if type(t) is not PApp or id(t) in seen:
+            continue
+        seen.add(id(t))
         head, args = _spine(t)
-        for a in args:
-            walk(a)
-        if type(head) is PConst and isinstance(head.value, VFun):
-            meta = fun_meta(head.value)
-            if meta is None or meta.args_seen:
-                return
-            d = by_id.get(meta.comb_id)
-            if d is None or d.mask is None:
-                return
-            for i, m in enumerate(d.mask):
-                if i < len(args) and not m and type(args[i]) is PApp:
-                    found.append(CbvViolation(meta.comb_id, i, args[i]))
-
-    walk(e)
+        todo.extend(reversed(args))  # scanned left to right
+        if type(head) is not PConst:
+            continue
+        meta = fun_meta(head.value)
+        if meta is None or meta.args_seen:
+            continue
+        d = by_id.get(meta.comb_id)
+        if d is None or d.mask is None:
+            continue
+        for i, m in enumerate(d.mask):
+            if i < len(args) and not m and type(args[i]) is PApp:
+                found.append(CbvViolation(meta.comb_id, i, args[i]))
     return found

@@ -6,17 +6,17 @@ for identical effect ordering.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UnboundTagError
-from .syntax import Value
+from .syntax import Node, Value
 
 
-@dataclass(frozen=True)
-class StoreEvent:
-    kind: str  # "get" or "set"
-    tag: str
-    value: Value
+class StoreEvent(Node):
+    __slots__ = ("kind", "tag", "value")
+
+    def __init__(self, kind: str, tag: str, value: Value):
+        self.kind = kind  # "get" or "set"
+        self.tag = tag
+        self.value = value
 
 
 class Store:

@@ -190,55 +190,10 @@ def format_value(v: Value) -> str:
     raise TypeError(f"not a value: {v!r}")
 
 
-# ---------------------------------------------------------------- surface syntax
-
-@dataclass(frozen=True)
-class EConst:
-    value: Value
-
-
-@dataclass(frozen=True)
-class EVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class EAbs:
-    param: str
-    body: "Expr"
-
-
-@dataclass(frozen=True)
-class EApp:
-    fn: "Expr"
-    arg: "Expr"
-
-
-@dataclass(frozen=True)
-class EIf:
-    cond: "Expr"
-    then: "Expr"
-    other: "Expr"
-
-
-@dataclass(frozen=True)
-class EGet:
-    tag: str
-
-
-@dataclass(frozen=True)
-class ESet:
-    tag: str
-    expr: "Expr"
-
-
-Expr = Union[EConst, EVar, EAbs, EApp, EIf, EGet, ESet]
-
-
-# ---------------------------------------------------------------- term nodes
+# ---------------------------------------------------------------- syntax nodes
 
 class Node:
-    """Base of the term node classes, which are built in bulk by transforms.
+    """Base of the syntax node classes, which are built in bulk.
 
     A subclass names its fields in `__slots__` and assigns them in its own
     `__init__`: that costs under half of a frozen dataclass's construction.
@@ -266,6 +221,65 @@ class Node:
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+# ---------------------------------------------------------------- surface syntax
+
+class EConst(Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Value):
+        self.value = value
+
+
+class EVar(Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+
+class EAbs(Node):
+    __slots__ = ("param", "body")
+
+    def __init__(self, param: str, body: "Expr"):
+        self.param = param
+        self.body = body
+
+
+class EApp(Node):
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: "Expr", arg: "Expr"):
+        self.fn = fn
+        self.arg = arg
+
+
+class EIf(Node):
+    __slots__ = ("cond", "then", "other")
+
+    def __init__(self, cond: "Expr", then: "Expr", other: "Expr"):
+        self.cond = cond
+        self.then = then
+        self.other = other
+
+
+class EGet(Node):
+    __slots__ = ("tag",)
+
+    def __init__(self, tag: str):
+        self.tag = tag
+
+
+class ESet(Node):
+    __slots__ = ("tag", "expr")
+
+    def __init__(self, tag: str, expr: "Expr"):
+        self.tag = tag
+        self.expr = expr
+
+
+Expr = Union[EConst, EVar, EAbs, EApp, EIf, EGet, ESet]
 
 
 # ---------------------------------------------------------------- purely functional syntax

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from combterp import bench
 from combterp.cli import main
 
 
@@ -120,3 +123,12 @@ class TestHarnessCommands:
         assert main(["theorem", "--samples", "5", "--budget", "20000"]) == 0
         out = capsys.readouterr().out
         assert "theorem:" in out and "0 disagree" in out
+
+    def test_bench_closes_with_resource_usage(self, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "corpus", lambda full=False: bench.scaled_corpus(
+            fib_n=5, ack=(1, 2), sort_k=5, queens=4))
+        assert main(["bench"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("BENCH ") for line in out) == 28
+        assert re.fullmatch(r"RUSAGE user_s=\d+\.\d{3} system_s=\d+\.\d{3} "
+                            r"minor_faults=\d+", out[-1])

@@ -460,3 +460,14 @@ class TestCbvDiscipline:
         k1 = app(defs_for(ElimAlgo.FAB)["K"].value, VInt(0))
         arg = MApp(MConst(PLUS), MConst(VInt(1)))
         assert find_cbv_violations(MApp(MConst(k1), arg)) == []
+
+    def test_a_shared_violation_is_reported_once_in_linear_time(self):
+        d = defs_for(ElimAlgo.FAB)
+        bad_arg = MApp(MConst(PLUS), MConst(VInt(1)))
+        bad = MApp(MApp(MConst(d["K"].value), bad_arg), MConst(VInt(0)))
+        m = bad
+        for _ in range(100):  # 2**100 occurrences of `bad` in the tree
+            m = MApp(MApp(MConst(d["S"].value), m), m)
+        found = find_cbv_violations(m)
+        assert [(v.comb_id, v.position, v.offender) for v in found] == [
+            ("K", 0, bad_arg)]

@@ -4,6 +4,7 @@ import functools
 import gc
 import sys
 import threading
+import traceback
 import weakref
 
 import pytest
@@ -290,6 +291,38 @@ class TestDeepWorker:
             result = None
         del arg, result
         assert arg_ref() is None
+
+    def test_recursion_inside_a_job_maps_no_new_stack(self):
+        # recursion that goes up and down across a frame data-stack chunk
+        # boundary maps and unmaps that chunk every time, a minor fault per
+        # page, unless the worker's reserve holds the frames
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RUSAGE_THREAD"):
+            pytest.skip("no per-thread resource usage here")
+
+        def dive(n):
+            return 0 if n == 0 else dive(n - 1) + 1
+
+        def job(depth):
+            if depth:
+                return job(depth - 1)
+            before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+            for _ in range(2_000):
+                dive(300)  # from depth 100 to 400 and back
+            return resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+
+        assert call_deep(job, 100) < 200
+
+    def test_a_job_raising_deep_down_keeps_its_traceback(self):
+        def dive(n):
+            if n == 0:
+                raise ValueError("bottom")
+            return dive(n - 1) + 1
+
+        with pytest.raises(ValueError, match="bottom") as info:
+            call_deep(dive, 20_000)
+        frames = [f.f_code for f, _ in traceback.walk_tb(info.value.__traceback__)]
+        assert frames.count(dive.__code__) == 20_001
 
 
 class TestFuelPerRun:
