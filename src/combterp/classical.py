@@ -10,11 +10,12 @@ from __future__ import annotations
 from typing import Optional
 
 from . import externs
-from .errors import EvalTypeError, UnboundVarError
+from .errors import BAD_CONDITION, EvalTypeError, UnboundVarError
 from .runtime import spend
 from .store import Store
 from .syntax import (EAbs, EApp, EConst, EGet, EIf, ESet, EVar, Expr, Node,
-                     VBool, VFun, VList, Value, fun_meta, with_meta)
+                     VBool, VFun, VList, Value, format_operand, fun_meta,
+                     with_meta)
 
 
 class Closure(Node):
@@ -81,7 +82,7 @@ def ceval(env: Env, s: Store, e: Expr):
     if t is EIf:
         cond = ceval(env, s, e.cond)
         if not isinstance(cond, VBool):
-            raise EvalTypeError("condition of if must be a boolean")
+            raise EvalTypeError(BAD_CONDITION)
         return ceval(env, s, e.then if cond.b else e.other)
     if t is EGet:
         return s.get(e.tag)
@@ -100,7 +101,7 @@ def run_classical(e: Expr, s: Optional[Store] = None):
 
 def _want_fun_like(v):
     if not isinstance(v, (VFun, Closure)):
-        raise EvalTypeError(f"expected a function, got {v!r}")
+        raise EvalTypeError(f"expected a function, got {format_operand(v)}")
     return v
 
 
@@ -124,7 +125,7 @@ def _filter_classical(s: Store) -> Value:
 
         def inner(l):
             if not isinstance(l, VList):
-                raise EvalTypeError(f"expected a list, got {l!r}")
+                raise EvalTypeError(f"expected a list, got {format_operand(l)}")
             kept = []
             for item in l.items:
                 keep = happ(pred, item, s)

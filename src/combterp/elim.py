@@ -21,7 +21,10 @@ FAB and the only form of S_2^2.
 
 Without pre-evaluation the output is a DAG that builds each distinct
 subterm once (see `_SharingEliminator`); its tree is the term the rules
-define, and `eval` still applies every occurrence of a shared node.
+define.  Each of its nodes that is a partial application of a pure
+function to constants is folded once, as it is built: the node keeps
+its fields and carries its value and the applications of its tree,
+which `eval` spends at once instead of applying every occurrence.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from typing import Optional
 
 from . import refsem
 from . import runtime as _rt
-from .errors import (EvalTypeError, InterpError, StepLimitExceeded,
+from .errors import (BAD_CONDITION, EvalTypeError, InterpError,
                      UnexpectedNodeError)
 from .refsem import RAbs, RApp, RFunConst, RTerm, RVar
 from .syntax import (MExpr, PAbs, PApp, PConst, PVar, PExpr, VBool, VFun,
@@ -58,15 +61,11 @@ class CombinatorDef:
     mask: Optional[tuple] = None     # True = branch receives the bound variables
 
 
-def _exhausted():
-    # the firing stops here, so the run has spent its whole budget
-    _rt._remaining = 0
-    raise StepLimitExceeded("application step budget exhausted")
-
-
-# names the generated combinator bodies refer to
+# names the generated combinator bodies refer to; the failure branches
+# call a global and raise a constant, so they add no inline cache to the
+# hottest code there is
 _GEN_GLOBALS = {"VFun": VFun, "VBool": VBool, "EvalTypeError": EvalTypeError,
-                "_rt": _rt, "_exhausted": _exhausted}
+                "_rt": _rt, "_exhaust": _rt.exhaust}
 
 
 def _spend_src(cost: int) -> list[str]:
@@ -76,7 +75,7 @@ def _spend_src(cost: int) -> list[str]:
     return ["r = _rt._remaining",
             "if r is not None:",
             f"    if r < {cost}:",
-            "        _exhausted()",
+            "        _exhaust()",
             f"    _rt._remaining = r - {cost}"]
 
 
@@ -182,7 +181,7 @@ def _sif_value(comb_id: str, n_abs: int) -> VFun:
 
     body = apply_all("a0", "c")
     body += ["if type(c) is not VBool:",
-             '    raise EvalTypeError("condition of IF must be a boolean")',
+             f"    raise EvalTypeError({BAD_CONDITION!r})",
              "h = a1 if c.b else a2"]
     body += apply_all("h", "h") + ["return h"]
     return _native(comb_id, ["a0", "a1", "a2"] + xs, body)
@@ -281,18 +280,31 @@ def _roster(algo: ElimAlgo) -> dict[str, CombinatorDef]:
 
 # ---------------------------------------------------------------- pre-evaluation
 
+def _apply_early(meta, seen: int, fv, av):
+    """`fv av` worked out at transform time, or None where it may not be.
+
+    `fv` is the function constant marked `meta` once it has taken `seen`
+    more arguments.  The application may be folded when the function is
+    pure and still awaits another argument after `av`: then it fires
+    nothing, runs no effect and spends no fuel.
+    """
+    if (meta is None or not meta.pure
+            or meta.args_seen + seen + 1 >= meta.total_arity):
+        return None
+    try:
+        return fv(av)
+    except InterpError:
+        # a wrapper rejected the argument; surface it at run time in its
+        # proper place in the effect order instead
+        return None
+
+
 def _fold(f: PExpr, a: PExpr) -> PExpr:
     """The application `f a`, folded if it is a safe partial combinator application."""
     if type(f) is PConst and type(a) is PConst and type(f.value) is VFun:
         meta = fun_meta(f.value)
-        if (meta is not None and meta.pure
-                and meta.args_seen + 1 < meta.total_arity):
-            try:
-                folded = f.value(a.value)
-            except InterpError:
-                # a wrapper rejected the argument; surface it at run time
-                # in its proper place in the effect order instead
-                return PApp(f, a)
+        folded = _apply_early(meta, 0, f.value, a.value)
+        if folded is not None:
             # a stage returns a fresh function, so the mark is its own
             return PConst(with_meta(folded, meta.comb_id, meta.total_arity,
                                     meta.args_seen + 1))
@@ -431,10 +443,18 @@ class _Eliminator:
 
 
 def _hash_consing():
-    """A PApp constructor that builds one node per pair of operand nodes.
+    """A PApp constructor that builds one node per pair of operand nodes,
+    and folds each new node it may.
 
     The table keys a node by the ids of its operands and holds the node,
     which holds them: no id in a key can be reused while the table lives.
+
+    A node is folded when its operator is a function constant or a folded
+    node, its operand a constant or a folded node, and `_apply_early`
+    may apply the one to the other.  The node then carries the value and
+    its `cost`, the applications in its tree, which `eval` spends at once
+    (see `PApp`).  Its fields stay as they are: the term, its tree and
+    `count_apps` are those of the unfolded term.
     """
     table = {}
     get = table.get
@@ -444,6 +464,27 @@ def _hash_consing():
         node = get(key)
         if node is None:
             node = table[key] = PApp(f, a)
+            tf = type(f)
+            if tf is PConst:
+                head, seen, cost = f, 0, 1
+            elif tf is PApp and f.cost:
+                # a folded operator's spine is folded down to its head
+                head, seen, cost = f.fn, 1, 1 + f.cost
+                while type(head) is PApp:
+                    head, seen = head.fn, seen + 1
+            else:
+                return node
+            ta = type(a)
+            if ta is PApp:
+                if not a.cost:
+                    return node
+                cost += a.cost
+            elif ta is not PConst:
+                return node
+            v = _apply_early(fun_meta(head.value), seen, f.value, a.value)
+            if v is not None:
+                node.value = v
+                node.cost = cost
         return node
 
     return app
@@ -459,6 +500,11 @@ class _SharingEliminator(_Eliminator):
     so the cost follows the distinct nodes, not the tree; the tree is the
     one `_Eliminator` builds.  Both tables live as long as the eliminator,
     one `elim` call.
+
+    The constructor also folds each new partial application of a pure
+    function to constants (see `_hash_consing`), so `eval` too follows
+    the distinct nodes where no combinator fires.  The fold lives in the
+    nodes: it goes wherever the term goes and dies with it.
     """
 
     def __init__(self, rules: tuple):
@@ -481,7 +527,10 @@ def elim(e: PExpr, algo: ElimAlgo, *,
     """[ ] of every abstraction in `e`, under the rule set `algo`.
 
     Pre-evaluation is on by default for every rule set but FAB.  Without
-    it the output is a DAG: each distinct subterm is built once.
+    it the output is a DAG: each distinct subterm is built once, and its
+    partial applications of pure functions to constants carry their
+    values (see `_SharingEliminator`); that changes neither the tree nor
+    the steps and effects of a run.
     """
     if pre_eval is None:
         pre_eval = algo is not ElimAlgo.FAB

@@ -6,7 +6,15 @@ class InterpError(Exception):
 
 
 class EvalTypeError(InterpError):
-    """A non-function was applied, a condition was not a boolean, etc."""
+    """A non-function was applied, a condition was not a boolean, etc.
+
+    Its text is the same under every scheme: it names a value by
+    `syntax.format_operand`.
+    """
+
+
+# the one spelling of a non-boolean condition, under every scheme
+BAD_CONDITION = "condition of if must be a boolean"
 
 
 class UnboundVarError(InterpError):

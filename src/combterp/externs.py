@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 from .errors import EvalTypeError
 from .runtime import apply_value
-from .syntax import (VBool, VFun, VInt, VList, Value, is_ground,
-                     value_ground_eq, with_meta)
+from .syntax import (VBool, VFun, VInt, VList, Value, format_operand,
+                     is_ground, value_ground_eq, with_meta)
 
 
 @dataclass(frozen=True)
@@ -23,13 +23,13 @@ class ExternDef:
 
 def _want_int(v) -> int:
     if not isinstance(v, VInt):
-        raise EvalTypeError(f"expected an integer, got {v!r}")
+        raise EvalTypeError(f"expected an integer, got {format_operand(v)}")
     return v.n
 
 
 def _want_list(v) -> VList:
     if not isinstance(v, VList):
-        raise EvalTypeError(f"expected a list, got {v!r}")
+        raise EvalTypeError(f"expected a list, got {format_operand(v)}")
     return v
 
 
@@ -83,7 +83,7 @@ def _isnil_fn(l):
 
 def _want_fun(v) -> VFun:
     if not isinstance(v, VFun):
-        raise EvalTypeError(f"expected a function, got {v!r}")
+        raise EvalTypeError(f"expected a function, got {format_operand(v)}")
     return v
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import EvalTypeError
+from .errors import BAD_CONDITION, EvalTypeError
 from .runtime import apply_value
 from .store import Store
 from .syntax import (DUMMY_IDENT, DUMMY_VAL, EAbs, EApp, EConst, EGet, EIf,
@@ -26,7 +26,7 @@ def _fun_if_impl(cond):
             if not isinstance(el, VFun):
                 raise EvalTypeError("IF branch must be a function")
             if not isinstance(cond, VBool):
-                raise EvalTypeError("condition of IF must be a boolean")
+                raise EvalTypeError(BAD_CONDITION)
             chosen = th if cond.b else el
             return apply_value(chosen, DUMMY_VAL)
 

@@ -4,10 +4,13 @@ A function value is a plain Python function, so applying one is `f(v)`.
 Every application spends one unit of a single fuel counter first: in
 `apply_value`, in `eval`'s inlined copy of it and in the generated
 combinator bodies, so the counter bounds divergent programs in every
-interpreter uniformly.  It is one module global, scoped with the `fuel`
-context manager.  Runs that set it inside their `call_deep` job, as
-`compare` does, cannot disturb each other: the worker runs one job at a
-time.
+interpreter uniformly.  The counter is one module global, scoped with
+the `fuel` context manager.  Runs that set it inside their `call_deep`
+job, as `compare` does, cannot disturb each other: the worker runs one
+job at a time.  A spend that the fuel left cannot pay ends the run
+through `exhaust`, so a budget-ended run has spent its whole budget,
+even where a combinator body or a folded term spends several units at
+once.
 
 `call_deep` runs a job where deep Python recursion is safe: omega-encoded
 recursion and the transform of large terms nest hundreds of thousands of
@@ -50,11 +53,22 @@ def remaining():
     return _remaining
 
 
+def exhaust():
+    """End the run on a spend the fuel left cannot pay.
+
+    A bulk spend of several units stops the run where spending them one
+    at a time would have: with the whole budget spent.
+    """
+    global _remaining
+    _remaining = 0
+    raise StepLimitExceeded("application step budget exhausted")
+
+
 def spend():
     global _remaining
     if _remaining is not None:
         if _remaining <= 0:
-            raise StepLimitExceeded("application step budget exhausted")
+            exhaust()
         _remaining -= 1
 
 
@@ -69,7 +83,7 @@ def apply_value(f, v):
         f(v)
     if _remaining is not None:  # the fuel check is inlined: this path is hot
         if _remaining <= 0:
-            raise StepLimitExceeded("application step budget exhausted")
+            exhaust()
         _remaining -= 1
     return f(v)
 

@@ -26,7 +26,7 @@ DUMMY_IDENT = "%d"  # binder of the thunks introduced by non-strictness eliminat
 
 def _not_a_function(self, arg):
     """`__call__` of every non-function value: applying it is a type error."""
-    raise EvalTypeError(f"cannot apply non-function value {format_value(self)}")
+    raise EvalTypeError(f"cannot apply non-function value {format_operand(self)}")
 
 
 @dataclass(frozen=True)
@@ -190,6 +190,20 @@ def format_value(v: Value) -> str:
     raise TypeError(f"not a value: {v!r}")
 
 
+def format_operand(v) -> str:
+    """A value as a type error names it, in the same words under every scheme.
+
+    A ground value prints as `format_value` prints it.  Every function is
+    `<fun>`, whatever its kind: a classical closure, a combinator stage or
+    a constant with a `meta`, which differ between the schemes.
+    """
+    if isinstance(v, VList):
+        return "[" + ", ".join(format_operand(x) for x in v) + "]"
+    if isinstance(v, (VInt, VBool, VDummy)):
+        return format_value(v)
+    return "<fun>"
+
+
 # ---------------------------------------------------------------- syntax nodes
 
 class Node:
@@ -198,17 +212,22 @@ class Node:
     A subclass names its fields in `__slots__` and assigns them in its own
     `__init__`: that costs under half of a frozen dataclass's construction.
     The base gives field-wise `==` and `hash`, a dataclass-style `repr`
-    and positional `match` patterns.  Nodes are never mutated once built.
+    and positional `match` patterns, over the fields named in `_fields`:
+    all the slots, unless a class names fewer.  A slot left out of
+    `_fields` is a cache the node carries, not part of what it is.  The
+    fields of a node are never mutated once it is built.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls.__match_args__ = cls.__slots__
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+        cls.__match_args__ = cls._fields
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
+        return tuple(getattr(self, f) for f in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -219,7 +238,7 @@ class Node:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({fields})"
 
 
@@ -307,11 +326,22 @@ class PAbs(Node):
 
 
 class PApp(Node):
-    __slots__ = ("fn", "arg")
+    """The application `fn arg`.
+
+    A node may also carry its value, folded at transform time (see
+    `elim._SharingEliminator`): then `cost`, the applications in its tree,
+    is nonzero, and `value` is what evaluating the tree returns.  Neither
+    is a field: a folded node equals, hashes, prints and matches as the
+    same application unfolded.
+    """
+
+    __slots__ = ("fn", "arg", "value", "cost")
+    _fields = ("fn", "arg")
 
     def __init__(self, fn: "PExpr", arg: "PExpr"):
         self.fn = fn
         self.arg = arg
+        self.cost = 0  # 0: not folded, `value` unset
 
 
 PExpr = Union[PConst, PVar, PAbs, PApp]

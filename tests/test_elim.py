@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combterp import externs
-from combterp.compare import observe_combinator
-from combterp.elim import (CbvViolation, ElimAlgo, check_no_var, elim,
-                           find_cbv_violations, make_combinators, transform)
-from combterp.errors import UnexpectedNodeError
+from combterp.compare import _observe, normalize_value, observe_combinator
+from combterp.elim import (CbvViolation, ElimAlgo, _hash_consing, check_no_var,
+                           elim, find_cbv_violations, make_combinators,
+                           transform)
+from combterp.errors import StepLimitExceeded, UnexpectedNodeError
 from combterp.eval import eval as meval
 from combterp.frontend import parse
 from combterp.purify import FUN_IF, PurifyCtx, purify
@@ -326,6 +327,128 @@ class TestSharing:
             m = PApp(m, m)
         assert count_apps(m) == 2 ** 100 - 1
         assert check_no_var(m) is m
+
+
+def _unfolded(m):
+    """The oracle of the fold: `m` rebuilt from fresh PApp nodes, none of
+    them folded, with its sharing kept, so `eval` applies every occurrence."""
+    new, todo = {}, [m]
+    while todo:
+        t = todo[-1]
+        if id(t) in new:
+            todo.pop()
+        elif type(t) is not PApp:
+            new[id(t)] = todo.pop()
+        elif id(t.fn) not in new:
+            todo.append(t.fn)
+        elif id(t.arg) not in new:
+            todo.append(t.arg)
+        else:
+            new[id(t)] = PApp(new[id(t.fn)], new[id(t.arg)])
+            todo.pop()
+    return new[id(m)]
+
+
+def _folded_nodes(m) -> list:
+    return [t for t in _nodes(m).values() if type(t) is PApp and t.cost]
+
+
+def _observed(obs) -> tuple:
+    """What a run shows: its ending, the class of its value, its store,
+    steps and error text; a function value is known only as one."""
+    return (obs.kind, normalize_value(obs.value), obs.trace, obs.bindings,
+            obs.steps, str(obs.error))
+
+
+def _observe_term(m, budget):
+    return _observe(Store(), budget, lambda: m, meval)
+
+
+class TestFold:
+    """fab without pre-evaluation folds its partial applications of pure
+    functions once, at transform time; `eval` spends their trees at once."""
+
+    def fab(self, src):
+        return call_deep(elim, purify(parse(src), PurifyCtx(Store())),
+                         ElimAlgo.FAB, pre_eval=False)
+
+    def test_a_folded_node_costs_the_applications_of_its_tree(self):
+        m = self.fab(TestSharing.SRC)
+        folded = _folded_nodes(m)
+        assert folded
+        for t in folded:
+            assert t.cost == count_apps(t)
+
+    def test_budgets_around_a_folded_cost_end_as_applying_it_would(self):
+        terms = [self.fab(TestSharing.SRC)]
+        terms += [call_deep(elim, p, ElimAlgo.FAB, pre_eval=False)
+                  for p in _digest_programs()[:5]]
+        checked = 0
+        for m in terms:
+            for t in _folded_nodes(m):
+                oracle = _unfolded(t)
+                for budget in (t.cost - 1, t.cost, t.cost + 1):
+                    got = _observed(_observe_term(t, budget))
+                    assert got == _observed(_observe_term(oracle, budget))
+                    assert got[0] == ("limit" if budget < t.cost else "value")
+                    checked += 1
+        assert checked > 300
+
+    @pytest.mark.parametrize("budget", [37, 1_000, 200_000])
+    def test_quickgen_runs_observe_as_the_unfolded_term(self, budget):
+        for i in range(200):
+            cfg = GenConfig(seed=42 + i)
+            e, initial = gen_expr(cfg), default_initial(cfg)
+            runs = []
+            for rebuild in (lambda m: m, _unfolded):
+                s = Store(initial)
+                runs.append(_observed(_observe(
+                    s, budget,
+                    lambda: rebuild(transform(purify(e, PurifyCtx(s)),
+                                              ElimAlgo.FAB, pre_eval=False)),
+                    meval)))
+            assert runs[0] == runs[1], cfg.seed
+
+    def test_a_tree_shared_past_any_budget_costs_its_nodes(self):
+        app, s = _hash_consing(), MConst(defs_for(ElimAlgo.FAB)["S"].value)
+        m = MConst(VInt(0))
+        for _ in range(100):  # S m m: a tree of 2**101 - 2 applications
+            m = app(app(s, m), m)
+        assert len(_folded_nodes(m)) == 200
+        assert m.cost == count_apps(m) == 2 ** 101 - 2
+        assert isinstance(call_deep(meval, m), VFun)  # no budget
+        obs = _observe_term(m, 10 ** 6)
+        assert (obs.kind, obs.steps) == ("limit", 10 ** 6)
+        assert isinstance(obs.error, StepLimitExceeded)
+
+    def test_a_folded_node_is_the_same_application(self):
+        k, one = MConst(defs_for(ElimAlgo.FAB)["K"].value), MConst(VInt(1))
+        folded, plain = _hash_consing()(k, one), PApp(k, one)
+        assert (folded.cost, plain.cost) == (1, 0)
+        assert folded == plain and hash(folded) == hash(plain)
+        assert repr(folded) == repr(plain)
+        match folded:
+            case PApp(f, a):
+                assert (f, a) == (k, one)
+            case _:
+                pytest.fail("a folded node does not match PApp(f, a)")
+
+    def test_what_may_not_be_folded_is_left_to_run_time(self):
+        app = _hash_consing()
+        plus, k = MConst(PLUS), MConst(defs_for(ElimAlgo.FAB)["K"].value)
+        full = app(app(plus, MConst(VInt(1))), MConst(VInt(2)))
+        assert (full.fn.cost, full.cost) == (1, 0)  # the last argument
+        assert app(plus, k).cost == 0  # plus rejects a function
+        assert app(MConst(FUN_IF), MConst(VBool(True))).cost == 0  # impure
+        assert app(k, app(k, PVar("x"))).cost == 0  # not a constant
+
+    @pytest.mark.parametrize("src", ["\\x. \\y. x", "plus 1"])
+    def test_a_folded_function_result_is_a_plain_stage(self, src):
+        assert self.fab(src).cost  # the whole term is folded
+        obs = observe_combinator(src, ElimAlgo.FAB)
+        assert obs.kind == "value"
+        assert fun_meta(obs.value) is None
+        assert format_value(obs.value) == "<fun>"
 
 
 class TestTransform:

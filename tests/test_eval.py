@@ -169,6 +169,25 @@ def test_function_results_are_python_functions(scheme):
         assert isinstance(obs.value, VFun)
 
 
+# a type error names a function `<fun>` and a ground value as it prints,
+# whatever scheme runs the program
+TYPE_ERRORS = {
+    "(1 + (\\x. x))": "expected an integer, got <fun>",
+    "if (\\x. x) then 1 else 2 fi": "condition of if must be a boolean",
+    "(cons (\\x. x) nil) 1": "cannot apply non-function value [<fun>]",
+    "compose 1": "expected a function, got 1",
+    "head (plus 1)": "expected a list, got <fun>",
+    "filter (\\x. true) 5": "expected a list, got 5",
+}
+
+
+@pytest.mark.parametrize("src", list(TYPE_ERRORS))
+@pytest.mark.parametrize("scheme", SCHEMES, ids=str)
+def test_type_error_text_is_the_same_under_every_scheme(scheme, src):
+    obs = _observe(scheme, parse(src))
+    assert (obs.kind, str(obs.error)) == ("type_error", TYPE_ERRORS[src])
+
+
 COUNT_UP = "(((\\f.(f f)) (\\f.\\n. (1 + ((f f) (n + 1))))) 0)"
 COUNT_DOWN = ("(((\\f.(f f)) (\\f.\\n. if (n = 0) then 0 "
               "else (1 + ((f f) (n - 1))) fi)) {n})")
