@@ -8,13 +8,13 @@ import sys
 from . import bench as bench_mod
 from . import compare as compare_mod
 from . import quickgen, refsem
-from .elim import ElimAlgo, find_cbv_violations, transform
+from .elim import ElimAlgo, elim_rterm, find_cbv_violations, transform
 from .errors import InterpError
 from .frontend import SourceProgram, check_closed, parse
 from .purify import PurifyCtx, purify
 from .runtime import call_deep
 from .store import Store
-from .syntax import count_apps, format_mexpr, format_value
+from .syntax import count_apps, format_mexpr, format_operand
 
 ALGOS = {"fab": ElimAlgo.FAB, "c1": ElimAlgo.C1, "c2": ElimAlgo.C2}
 
@@ -24,6 +24,13 @@ def _read_source(path: str) -> SourceProgram:
         return SourceProgram(sys.stdin.read(), "<stdin>")
     with open(path) as f:
         return SourceProgram(f.read(), path)
+
+
+def _format_observed(v) -> str:
+    """A value or a normalized trace value, each function as `<fun>`."""
+    if isinstance(v, tuple):  # a list that holds a function, normalized
+        return "[" + ", ".join(map(_format_observed, v)) + "]"
+    return format_operand(v)  # the token "fun" too is `<fun>`
 
 
 def cmd_run(args) -> int:
@@ -36,12 +43,10 @@ def cmd_run(args) -> int:
     if obs.kind != "value":
         print(f"error: {obs.kind}: {obs.error}", file=sys.stderr)
         return 1
-    v = compare_mod.normalize_value(obs.value)
-    print("<fun>" if v == "fun" else format_value(obs.value))
+    print(format_operand(obs.value))
     if args.emit == "trace":
         for kind, tag, value in obs.trace:
-            shown = value if isinstance(value, str) else format_value(value)
-            print(f"{kind.upper()} {tag} {shown}")
+            print(f"{kind.upper()} {tag} {_format_observed(value)}")
     return 0
 
 
@@ -116,12 +121,14 @@ def cmd_theorem(args) -> int:
     for i in range(args.samples):
         cfg = quickgen.GenConfig(args.seed + i, max_depth=5)
         m = quickgen.gen_rterm(cfg)
-        v = refsem.check_theorem(m, quickgen.default_rstore(cfg), delta,
-                                 args.budget)
-        tally[v.kind] += 1
-        if v.kind == "disagree":
-            print(f"DISAGREE seed {cfg.seed}: {v.details}")
-            print(f"  term: {refsem.format_rterm(m)}")
+        for algo in ALGOS.values():  # every rule set, as `compare` does
+            v = refsem.check_theorem(m, elim_rterm(m, algo),
+                                     quickgen.default_rstore(cfg), delta,
+                                     args.budget)
+            tally[v.kind] += 1
+            if v.kind == "disagree":
+                print(f"DISAGREE seed {cfg.seed} [{algo.value}]: {v.details}")
+                print(f"  term: {refsem.format_rterm(m)}")
     print(f"theorem: {tally['agree']} agree, {tally['inconclusive']} "
           f"inconclusive, {tally['disagree']} disagree")
     return 1 if tally["disagree"] else 0

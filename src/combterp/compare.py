@@ -23,7 +23,7 @@ from .frontend import SourceProgram, check_closed, parse
 from .purify import PurifyCtx, purify
 from .runtime import call_deep, fuel, remaining
 from .store import Store
-from .syntax import (Expr, VFun, VList, Value, format_value, is_ground,
+from .syntax import (Expr, VFun, VList, Value, format_operand, is_ground,
                      value_ground_eq)
 
 DEFAULT_BUDGET = 200_000
@@ -176,7 +176,7 @@ def compare_observations(a: Observation, b: Observation) -> CompareResult:
     if a.kind == "value" and not _values_agree(a, b):
         return CompareResult(
             False, False,
-            f"values {format_value(a.value)} vs {format_value(b.value)}")
+            f"values {format_operand(a.value)} vs {format_operand(b.value)}")
     return CompareResult(True, False)
 
 

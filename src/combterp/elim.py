@@ -25,6 +25,9 @@ define.  Each of its nodes that is a partial application of a pure
 function to constants is folded once, as it is built: the node keeps
 its fields and carries its value and the applications of its tree,
 which `eval` spends at once instead of applying every occurrence.
+
+`elim_rterm` runs the same rules on a term of the reference calculus
+(`refsem`), so the correctness theorem is checked on this eliminator.
 """
 from __future__ import annotations
 
@@ -34,10 +37,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from . import refsem
 from . import runtime as _rt
 from .errors import (BAD_CONDITION, EvalTypeError, InterpError,
                      UnexpectedNodeError)
+from .purify import FUN_IF
 from .refsem import RAbs, RApp, RFunConst, RTerm, RVar
 from .syntax import (MExpr, PAbs, PApp, PConst, PVar, PExpr, VBool, VFun,
                      free_vars, fun_meta, with_meta)
@@ -230,7 +233,7 @@ def _mask_def(n_abs: int, mask: tuple) -> CombinatorDef:
 
 
 def _basic_defs() -> dict[str, CombinatorDef]:
-    i_def = CombinatorDef("I", 1, _identity_value(), refsem.COMB_I)
+    i_def = CombinatorDef("I", 1, _identity_value(), RAbs("x", RVar("x")))
     # K is the single-branch all-constant mask combinator
     k_def = CombinatorDef("K", 2, _mask_value("K", 1, (False,)),
                           _mask_term(1, (False,)), n_abs=1, mask=(False,))
@@ -572,6 +575,62 @@ def transform(e: PExpr, algo: ElimAlgo, *,
     return check_no_var(elim(e, algo, pre_eval=pre_eval))
 
 
+# ---------------------------------------------------------------- the reference calculus
+
+# purify's IF applies the chosen thunk to `dummy` itself, while the
+# calculus `if` returns it
+IF_TERM = RAbs("c", RAbs("t", RAbs("e", RApp(
+    RApp(RApp(RApp(RFunConst("if"), RVar("c")), RVar("t")), RVar("e")),
+    RFunConst("dummy")))))
+
+
+def _to_pexpr(m: RTerm) -> PExpr:
+    """`m` as a PExpr, with `(((if c) \\z.t) \\z.e) dummy` as purify's
+    `((IF c) \\z.t) \\z.e`, so the conditional rules fire.  Any other `if`
+    stays a constant: IF evaluates its branches before the test, which
+    would move their effects before a stuck `if`.
+    """
+    match m:
+        case RVar(name):
+            return PVar(name)
+        case RFunConst():
+            return PConst(m)  # no `meta`: nothing folds it
+        case RAbs(param, body):
+            return PAbs(param, _to_pexpr(body))
+        case RApp(RApp(RApp(RApp(RFunConst("if"), c), RAbs() as then),
+                       RAbs() as other), RFunConst("dummy")):
+            return PApp(PApp(PApp(PConst(FUN_IF), _to_pexpr(c)),
+                             _to_pexpr(then)), _to_pexpr(other))
+        case RApp(f, a):
+            return PApp(_to_pexpr(f), _to_pexpr(a))
+    raise TypeError(f"not an RTerm: {m!r}")
+
+
+def elim_rterm(m: RTerm, algo: ElimAlgo) -> RTerm:
+    """Closed `m` with its abstractions eliminated by `algo`, pre-evaluation
+    off, in the calculus: each roster constant as its `defining_term`, IF
+    as `IF_TERM`, a folded node as its application, a shared node shared.
+    """
+    defs = _roster(algo)
+    terms = {}  # id of a node of the output -> its term
+
+    def back(e: PExpr) -> RTerm:
+        t = terms.get(id(e))
+        if t is None:
+            if type(e) is PApp:
+                t = RApp(back(e.fn), back(e.arg))
+            elif type(e.value) is RFunConst:
+                t = e.value
+            elif e.value is FUN_IF:
+                t = IF_TERM
+            else:
+                t = defs[fun_meta(e.value).comb_id].defining_term
+            terms[id(e)] = t
+        return t
+
+    return back(transform(_to_pexpr(m), algo, pre_eval=False))
+
+
 # ---------------------------------------------------------------- static discipline check
 
 @dataclass(frozen=True)
@@ -589,7 +648,7 @@ def _spine(e):
     return e, list(reversed(args))
 
 
-def find_cbv_violations(e, defs: Optional[dict] = None) -> list[CbvViolation]:
+def find_cbv_violations(e) -> list[CbvViolation]:
     """Scan a PExpr for applications in constant-only combinator positions.
 
     Selective combinators may only receive a constant or variable in a
@@ -600,9 +659,7 @@ def find_cbv_violations(e, defs: Optional[dict] = None) -> list[CbvViolation]:
     Each distinct spine is scanned once, so a shared term costs its
     distinct nodes, and a violation inside a shared node is reported once.
     """
-    if defs is None:
-        defs = make_combinators(ElimAlgo.C2)
-    by_id = {d.comb_id: d for d in defs.values()}
+    defs = _roster(ElimAlgo.C2)  # every mask of every roster
     found: list[CbvViolation] = []
     seen = set()
     todo = [e]
@@ -618,7 +675,7 @@ def find_cbv_violations(e, defs: Optional[dict] = None) -> list[CbvViolation]:
         meta = fun_meta(head.value)
         if meta is None or meta.args_seen:
             continue
-        d = by_id.get(meta.comb_id)
+        d = defs.get(meta.comb_id)
         if d is None or d.mask is None:
             continue
         for i, m in enumerate(d.mask):

@@ -2,9 +2,10 @@
 
 Terms are a pure lambda calculus over function constants; imperative
 behavior lives entirely in the delta table, which maps each function
-constant to a partial state transformer.  Includes the textbook S/K/I
-variable elimination and an empirical checker for its correctness
-theorem (a term and its eliminated form behave alike).
+constant to a partial state transformer.  Includes an empirical checker
+for the correctness theorem of variable elimination: a term and its
+eliminated form behave alike.  The eliminated form comes from
+`elim.elim_rterm`, the bracket abstraction that programs run through.
 """
 from __future__ import annotations
 
@@ -358,40 +359,6 @@ def run(m: RTerm, s: RStore, delta: DeltaTable, budget: int) -> Outcome:
             return Outcome("stuck", plug(RApp(fn, arg)), s)
 
 
-# ---------------------------------------------------------------- variable elimination
-
-_I = RAbs("x", RVar("x"))
-_K = RAbs("x", RAbs("y", RVar("x")))
-_S = RAbs("x", RAbs("y", RAbs("z", RApp(RApp(RVar("x"), RVar("z")),
-                                        RApp(RVar("y"), RVar("z"))))))
-
-COMB_I, COMB_K, COMB_S = _I, _K, _S
-
-
-def delim(x: str, m: RTerm) -> RTerm:
-    match m:
-        case RVar(name):
-            return _I if name == x else RApp(_K, m)
-        case RApp(f, a):
-            return RApp(RApp(_S, delim(x, f)), delim(x, a))
-        case _:
-            # already-eliminated values and function constants
-            return RApp(_K, m)
-
-
-def celim(m: RTerm) -> RTerm:
-    match m:
-        case RVar():
-            return m
-        case RFunConst():
-            return m
-        case RApp(f, a):
-            return RApp(celim(f), celim(a))
-        case RAbs(param, body):
-            return delim(param, celim(body))
-    raise TypeError(f"not an RTerm: {m!r}")
-
-
 # ---------------------------------------------------------------- theorem checking
 
 
@@ -430,11 +397,12 @@ def _bindings_agree(sa: RStore, sb: RStore, delta, budget, depth) -> bool:
     return all(observed_eq(da[t], db[t], delta, budget, depth) for t in da)
 
 
-def check_theorem(m: RTerm, s: RStore, delta: DeltaTable, budget: int,
-                  probe_depth: int = 2) -> Verdict:
+def check_theorem(m: RTerm, eliminated: RTerm, s: RStore, delta: DeltaTable,
+                  budget: int, probe_depth: int = 2) -> Verdict:
+    """Run `m` and its `eliminated` form from `s` and compare the outcomes."""
     assert not rterm_free_vars(m), "theorem checking needs a closed term"
     ra = run(m, s, delta, budget)
-    rb = run(celim(m), s, delta, budget)
+    rb = run(eliminated, s, delta, budget)
     if ra.kind == "timeout" and rb.kind == "timeout":
         return Verdict("agree", "both timed out")
     if ra.kind == "timeout" or rb.kind == "timeout":

@@ -8,7 +8,8 @@ import time
 from combterp import refsem
 from combterp.compare import compare_expr, observe_classical, observe_combinator
 from combterp.bench import run_bench
-from combterp.elim import ElimAlgo, elim, find_cbv_violations, make_combinators
+from combterp.elim import (ElimAlgo, elim, elim_rterm, find_cbv_violations,
+                           make_combinators)
 from combterp.errors import InterpError
 from combterp.externs import registry
 from combterp.frontend import parse
@@ -63,8 +64,9 @@ def test_criterion_2_empirical_correctness_theorem(acceptance_record):
     t0 = time.perf_counter()
     for i in range(samples):
         cfg = GenConfig(seed=77_000 + i)
-        v = refsem.check_theorem(gen_rterm(cfg), default_rstore(cfg), delta,
-                                 budget)
+        m = gen_rterm(cfg)
+        v = refsem.check_theorem(m, elim_rterm(m, ElimAlgo.FAB),
+                                 default_rstore(cfg), delta, budget)
         tally[v.kind] += 1
     elapsed = time.perf_counter() - t0
     ok = tally["disagree"] == 0 and elapsed < 60

@@ -34,6 +34,15 @@ class TestRun:
             assert main(["run", source("\\x. x"), "--algo", algo]) == 0
             assert capsys.readouterr().out.strip() == "<fun>"
 
+    @pytest.mark.parametrize("algo", ["classical", "fab", "c1", "c2"])
+    def test_values_holding_functions_print_alike(self, source, capsys, algo):
+        assert main(["run", source("cons (\\x. x) nil"), "--algo", algo]) == 0
+        assert capsys.readouterr().out.splitlines() == ["[<fun>]"]
+        f = source("(\\d. (\\e. !u) (u := \\x. x)) (t := cons (\\x. x) nil)")
+        assert main(["run", f, "--algo", algo, "--emit", "trace"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "<fun>", "SET t [<fun>]", "SET u <fun>", "GET u <fun>"]
+
     def test_trace_emission(self, source, capsys):
         assert main(["run", source("(t := 4) + !t"), "--emit", "trace"]) == 0
         assert capsys.readouterr().out.splitlines() == ["8", "SET t 4",

@@ -105,6 +105,11 @@ class TestCompareObservations:
                                  Observation("value", VInt(2)))
         assert not r.agree and "values" in r.detail
 
+    def test_a_list_holding_a_closure_is_reported(self):
+        a = observe_classical("cons (\\x. x) nil")
+        r = compare_observations(a, Observation("value", VList((VInt(1),))))
+        assert not r.agree and r.detail == "values [<fun>] vs [1]"
+
     def test_functions_agree_as_a_class(self):
         a = Observation("value", lambda x: x)
         b = Observation("value", Closure("x", EVar("x"), Env()))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import itertools
 
 import pytest
@@ -7,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combterp import refsem
+from combterp.elim import IF_TERM, ElimAlgo, elim_rterm, make_combinators
+from combterp.errors import UnexpectedNodeError
 from combterp.quickgen import GenConfig, default_rstore, gen_rterm
-from combterp.refsem import (COMB_I, COMB_K, Outcome, RAbs, RApp, RFunConst,
-                             RStore, RVar, bool_const, celim, check_theorem,
-                             const_bool, const_int, delim, int_const, is_value,
-                             rstore, rterm_free_vars, run, standard_delta,
-                             step, subst)
+from combterp.refsem import (Outcome, RAbs, RApp, RFunConst, RStore, RVar,
+                             bool_const, check_theorem, const_bool, const_int,
+                             int_const, is_value, rstore, rterm_free_vars, run,
+                             standard_delta, step, subst)
 
 DELTA = standard_delta()
+elim_mod = importlib.import_module("combterp.elim")  # `combterp.elim` is a function
 
 
 def binop(op, a, b):
@@ -165,52 +168,135 @@ class TestRunMatchesStep:
         assert a == b
 
 
-class TestElimination:
-    def test_delim_base_cases(self):
-        assert delim("x", RVar("x")) is COMB_I
-        assert delim("x", RVar("y")) == RApp(COMB_K, RVar("y"))
-        assert delim("x", int_const(3)) == RApp(COMB_K, int_const(3))
+ALGOS = list(ElimAlgo)
 
-    def test_celim_output_is_abstraction_free_outside_the_basis(self):
-        m = RAbs("x", binop("plus", RVar("x"), int_const(1)))
-        out = celim(m)
 
-        def only_basis_abs(t):
-            match t:
-                case RAbs():
-                    return t in (COMB_I, COMB_K, refsem.COMB_S)
-                case RApp(f, a):
-                    return only_basis_abs(f) and only_basis_abs(a)
-                case _:
-                    return True
+def cond_term(c, then, other):
+    """The calculus conditional: the selector picks a thunk, run on dummy."""
+    sel = RApp(RApp(RApp(RFunConst("if"), c), RAbs("z", then)),
+               RAbs("z", other))
+    return RApp(sel, RFunConst("dummy"))
 
-        assert only_basis_abs(out)
+
+def abstractions(m):
+    """The abstractions in `m`, outermost only, each distinct node once."""
+    found, seen, todo = [], set(), [m]
+    while todo:
+        t = todo.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if isinstance(t, RAbs):
+            found.append(t)
+        elif isinstance(t, RApp):
+            todo += [t.fn, t.arg]
+    return found
+
+
+def theorem(m, algo, budget=10_000):
+    return check_theorem(m, elim_rterm(m, algo), RStore(), DELTA, budget)
+
+
+def sample_theorem(algo, seeds):
+    tally = {"agree": 0, "disagree": 0, "inconclusive": 0}
+    for seed in seeds:
+        cfg = GenConfig(seed=seed)
+        m = gen_rterm(cfg)
+        v = check_theorem(m, elim_rterm(m, algo), default_rstore(cfg), DELTA,
+                          100_000)
+        tally[v.kind] += 1
+    return tally
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+class TestElimRterm:
+    def test_the_eliminated_successor_runs(self, algo):
+        out = elim_rterm(RAbs("x", binop("plus", RVar("x"), int_const(1))),
+                         algo)
         assert go(RApp(out, int_const(4))).term == int_const(5)
 
+    def test_abstractions_come_only_from_the_roster(self, algo):
+        m = RAbs("x", RAbs("y", cond_term(
+            binop("leq", RVar("x"), RVar("y")),
+            RApp(RFunConst("set:t"), RVar("x")), RApp(RVar("y"), RVar("x")))))
+        allowed = [d.defining_term for d in make_combinators(algo).values()]
+        allowed.append(IF_TERM)
+        found = abstractions(elim_rterm(m, algo))
+        assert found and all(any(t is a for a in allowed) for t in found)
 
+    def test_a_conditional_under_a_binder_goes_through_s_if(self, algo):
+        m = RAbs("x", cond_term(binop("leq", RVar("x"), int_const(1)),
+                                int_const(2), RApp(RFunConst("set:t"),
+                                                   RVar("x"))))
+        out = elim_rterm(m, algo)
+        defs = make_combinators(algo)
+        if algo is not ElimAlgo.FAB:
+            assert any(t is defs["S_IF"].defining_term
+                       for t in abstractions(out))
+        assert go(RApp(out, int_const(0))).term == int_const(2)
+        taken = go(RApp(out, int_const(3)))
+        assert (taken.term, taken.store.trace) == (
+            int_const(3), (("set", "t", int_const(3)),))
+
+    def test_only_thunked_conditionals_become_if(self, algo):
+        """A thunk may use its binder; any other shape keeps the plain `if`."""
+        sel = cond_term(bool_const(True), RVar("z"), int_const(1)).fn
+        dummy = RFunConst("dummy")
+        assert go(elim_rterm(RApp(sel, dummy), algo)).term == dummy
+        assert go(elim_rterm(RApp(sel, int_const(7)), algo)).term == int_const(7)
+        eager = RApp(RApp(RApp(RApp(RFunConst("if"), int_const(1)),
+                               RApp(RFunConst("set:t"), int_const(1))),
+                          RAbs("z", int_const(2))), dummy)
+        out = go(elim_rterm(eager, algo))
+        assert (out.kind, out.store.trace) == ("stuck", ())
+
+    def test_an_open_term_is_rejected(self, algo):
+        with pytest.raises(UnexpectedNodeError):
+            elim_rterm(RAbs("x", RVar("y")), algo)
+
+
+@pytest.mark.parametrize("algo", ALGOS)
 class TestCheckTheorem:
-    def test_ground_agreement(self):
+    def test_ground_agreement(self, algo):
         m = RApp(RAbs("x", binop("times", RVar("x"), RVar("x"))), int_const(3))
-        assert check_theorem(m, RStore(), DELTA, 10_000).kind == "agree"
+        assert theorem(m, algo).kind == "agree"
 
-    def test_effectful_agreement(self):
+    def test_effectful_agreement(self, algo):
         m = RApp(RAbs("x", RApp(RFunConst("get:t"), int_const(0))),
                  RApp(RFunConst("set:t"), int_const(4)))
-        assert check_theorem(m, RStore(), DELTA, 10_000).kind == "agree"
+        assert theorem(m, algo).kind == "agree"
 
-    def test_function_results_are_probed(self):
+    def test_function_results_are_probed(self, algo):
         m = RAbs("x", binop("plus", RVar("x"), int_const(1)))
-        assert check_theorem(m, RStore(), DELTA, 10_000).kind == "agree"
+        assert theorem(m, algo).kind == "agree"
 
-    def test_both_stuck_agree(self):
+    def test_both_stuck_agree(self, algo):
         m = RApp(RAbs("x", RApp(int_const(1), RVar("x"))), int_const(2))
-        assert check_theorem(m, RStore(), DELTA, 10_000).kind == "agree"
+        assert theorem(m, algo).kind == "agree"
 
-    def test_both_divergent_agree(self):
+    def test_both_divergent_agree(self, algo):
         o = RAbs("w", RApp(RVar("w"), RVar("w")))
-        v = check_theorem(RApp(o, o), RStore(), DELTA, 200)
+        v = theorem(RApp(o, o), algo, budget=200)
         assert (v.kind, v.details) == ("agree", "both timed out")
 
-    def test_requires_a_closed_term(self):
+    def test_requires_a_closed_term(self, algo):
         with pytest.raises(AssertionError):
-            check_theorem(RVar("x"), RStore(), DELTA, 100)
+            check_theorem(RVar("x"), RVar("x"), RStore(), DELTA, 100)
+
+
+@pytest.mark.parametrize("algo", [ElimAlgo.C1, ElimAlgo.C2])
+def test_seeded_terms_agree(algo):
+    tally = sample_theorem(algo, range(77_000, 77_300))
+    assert tally["disagree"] == 0, tally
+
+
+def test_a_wrong_mask_disagrees(monkeypatch):
+    """B and C swapped in a c1 rule table local to this test."""
+    sif, (full, masks), spine3, i, k = elim_mod._rules(ElimAlgo.C1)[1]
+    masks = dict(masks)
+    b, c = (False, True), (True, False)
+    masks[b], masks[c] = masks[c], masks[b]
+    swapped = (None, (sif, (full, masks), spine3, i, k))
+    monkeypatch.setattr(elim_mod, "_rules", lambda algo: swapped)
+    tally = sample_theorem(ElimAlgo.C1, range(77_000, 77_050))
+    assert tally["disagree"] > 0, tally
