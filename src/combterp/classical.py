@@ -149,23 +149,32 @@ def classical_registry(s: Store) -> dict[str, externs.ExternDef]:
 
 
 def retarget_externs(e: Expr, registry: dict[str, externs.ExternDef]) -> Expr:
-    """Rebind extern constants (identified by their CombMeta name) to a registry."""
+    """Rebind extern constants (identified by their CombMeta name) to a registry.
+
+    A node under which nothing was rebound is returned as it is.
+    """
     def walk(x):
-        match x:
-            case EConst(v):
-                meta = fun_meta(v)
-                if meta is not None and meta.comb_id in registry:
-                    return EConst(registry[meta.comb_id].value)
+        t = type(x)
+        if t is EApp:
+            f, a = walk(x.fn), walk(x.arg)
+            return x if f is x.fn and a is x.arg else EApp(f, a)
+        if t is EConst:
+            meta = fun_meta(x.value)
+            if meta is not None and meta.comb_id in registry:
+                v = registry[meta.comb_id].value
+                return x if v is x.value else EConst(v)
+            return x
+        if t is EAbs:
+            b = walk(x.body)
+            return x if b is x.body else EAbs(x.param, b)
+        if t is EIf:
+            c, th, o = walk(x.cond), walk(x.then), walk(x.other)
+            if c is x.cond and th is x.then and o is x.other:
                 return x
-            case EAbs(p, b):
-                return EAbs(p, walk(b))
-            case EApp(f, a):
-                return EApp(walk(f), walk(a))
-            case EIf(c, t, o):
-                return EIf(walk(c), walk(t), walk(o))
-            case ESet(tag, inner):
-                return ESet(tag, walk(inner))
-            case _:
-                return x
+            return EIf(c, th, o)
+        if t is ESet:
+            inner = walk(x.expr)
+            return x if inner is x.expr else ESet(x.tag, inner)
+        return x
 
     return walk(e)

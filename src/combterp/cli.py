@@ -121,10 +121,11 @@ def cmd_theorem(args) -> int:
     for i in range(args.samples):
         cfg = quickgen.GenConfig(args.seed + i, max_depth=5)
         m = quickgen.gen_rterm(cfg)
-        for algo in ALGOS.values():  # every rule set, as `compare` does
-            v = refsem.check_theorem(m, elim_rterm(m, algo),
-                                     quickgen.default_rstore(cfg), delta,
-                                     args.budget)
+        # every rule set, as `compare` does, against one run of `m`
+        verdicts = refsem.check_eliminations(
+            m, [elim_rterm(m, algo) for algo in ALGOS.values()],
+            quickgen.default_rstore(cfg), delta, args.budget)
+        for algo, v in zip(ALGOS.values(), verdicts):
             tally[v.kind] += 1
             if v.kind == "disagree":
                 print(f"DISAGREE seed {cfg.seed} [{algo.value}]: {v.details}")

@@ -43,7 +43,7 @@ from .errors import (BAD_CONDITION, EvalTypeError, InterpError,
 from .purify import FUN_IF
 from .refsem import RAbs, RApp, RFunConst, RTerm, RVar
 from .syntax import (MExpr, PAbs, PApp, PConst, PVar, PExpr, VBool, VFun,
-                     free_vars, fun_meta, with_meta)
+                     fun_meta, with_meta)
 
 
 class ElimAlgo(enum.Enum):
@@ -308,9 +308,10 @@ def _fold(f: PExpr, a: PExpr) -> PExpr:
         meta = fun_meta(f.value)
         folded = _apply_early(meta, 0, f.value, a.value)
         if folded is not None:
-            # a stage returns a fresh function, so the mark is its own
-            return PConst(with_meta(folded, meta.comb_id, meta.total_arity,
-                                    meta.args_seen + 1))
+            # a stage returns a fresh function; its mark is the head's
+            # successor, one object shared by every fold of the head
+            folded.meta = meta.successor
+            return PConst(folded)
     return PApp(f, a)
 
 
@@ -320,6 +321,26 @@ def _is_constant(e: PExpr, bound: tuple) -> bool:
     """Constant in the rule sense: a constant, extern, or variable not in `bound`."""
     t = type(e)
     return t is PConst or (t is PVar and e.name not in bound)
+
+
+def _occurs_free(x: str, e: PExpr) -> bool:
+    """Whether `x` is free in `e`, stopping at the first occurrence found.
+
+    A binder of `x` hides the body beneath it.  No set is built, so a
+    thunk body can be checked at every binder around its conditional.
+    """
+    while True:
+        t = type(e)
+        if t is PApp:
+            if _occurs_free(x, e.arg):
+                return True
+            e = e.fn  # down the spine without a call
+        elif t is PAbs:
+            if e.param == x:
+                return False
+            e = e.body
+        else:
+            return t is PVar and e.name == x
 
 
 def _match_if_shape(e: PExpr):
@@ -334,8 +355,8 @@ def _match_if_shape(e: PExpr):
         return None
     meta = fun_meta(head.value)
     if (meta is not None and meta.comb_id == "IF"
-            and then.param not in free_vars(then.body)
-            and other.param not in free_vars(other.body)):
+            and not _occurs_free(then.param, then.body)
+            and not _occurs_free(other.param, other.body)):
         return f.fn.arg, then.body, other.body
     return None
 

@@ -64,22 +64,22 @@ def make_set(tag: str, ctx: PurifyCtx) -> VFun:
 
 
 def purify(e: Expr, ctx: PurifyCtx) -> PExpr:
-    match e:
-        case EConst(v):
-            return PConst(v)
-        case EVar(name):
-            return PVar(name)
-        case EAbs(param, body):
-            return PAbs(param, purify(body, ctx))
-        case EApp(f, a):
-            return PApp(purify(f, ctx), purify(a, ctx))
-        case EIf(c, t, o):
-            pc = purify(c, ctx)
-            pt = PAbs(DUMMY_IDENT, purify(t, ctx))
-            po = PAbs(DUMMY_IDENT, purify(o, ctx))
-            return PApp(PApp(PApp(PConst(FUN_IF), pc), pt), po)
-        case EGet(tag):
-            return PApp(PConst(make_get(tag, ctx)), PConst(DUMMY_VAL))
-        case ESet(tag, inner):
-            return PApp(PConst(make_set(tag, ctx)), purify(inner, ctx))
+    t = type(e)
+    if t is EApp:
+        return PApp(purify(e.fn, ctx), purify(e.arg, ctx))
+    if t is EVar:
+        return PVar(e.name)
+    if t is EConst:
+        return PConst(e.value)
+    if t is EAbs:
+        return PAbs(e.param, purify(e.body, ctx))
+    if t is EIf:
+        pc = purify(e.cond, ctx)
+        pt = PAbs(DUMMY_IDENT, purify(e.then, ctx))
+        po = PAbs(DUMMY_IDENT, purify(e.other, ctx))
+        return PApp(PApp(PApp(PConst(FUN_IF), pc), pt), po)
+    if t is EGet:
+        return PApp(PConst(make_get(e.tag, ctx)), PConst(DUMMY_VAL))
+    if t is ESet:
+        return PApp(PConst(make_set(e.tag, ctx)), purify(e.expr, ctx))
     raise TypeError(f"not an Expr: {e!r}")

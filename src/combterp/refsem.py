@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .syntax import RESERVED_PREFIX, Node
 
@@ -397,27 +397,44 @@ def _bindings_agree(sa: RStore, sb: RStore, delta, budget, depth) -> bool:
     return all(observed_eq(da[t], db[t], delta, budget, depth) for t in da)
 
 
-def check_theorem(m: RTerm, eliminated: RTerm, s: RStore, delta: DeltaTable,
-                  budget: int, probe_depth: int = 2) -> Verdict:
-    """Run `m` and its `eliminated` form from `s` and compare the outcomes."""
-    assert not rterm_free_vars(m), "theorem checking needs a closed term"
-    ra = run(m, s, delta, budget)
-    rb = run(eliminated, s, delta, budget)
+def _verdict(ra: Outcome, rb: Outcome, delta: DeltaTable, budget: int,
+             probe_depth: int) -> Verdict:
+    """Compare the outcome `ra` of a term with the outcome `rb` of its
+    eliminated form."""
     if ra.kind == "timeout" and rb.kind == "timeout":
         return Verdict("agree", "both timed out")
     if ra.kind == "timeout" or rb.kind == "timeout":
         return Verdict("inconclusive", f"{ra.kind} vs {rb.kind}")
     if ra.kind != rb.kind:
         return Verdict("disagree", f"{ra.kind} vs {rb.kind}")
-    if ra.kind == "stuck":
-        return Verdict("agree", "both stuck")
     # probes classify small residual values; they never need the full budget,
     # and both sides of every probe get the same allowance
     probe_budget = min(budget, 10_000)
     if not _bindings_agree(ra.store, rb.store, delta, probe_budget, probe_depth):
+        # a stuck run too must have run the same effects before it stuck
         return Verdict("disagree", "final store bindings differ")
+    if ra.kind == "stuck":
+        return Verdict("agree", "both stuck")
     if not observed_eq(ra.term, rb.term, delta, probe_budget, probe_depth):
         return Verdict(
             "disagree",
             f"results differ: {format_rterm(ra.term)} vs {format_rterm(rb.term)}")
     return Verdict("agree")
+
+
+def check_eliminations(m: RTerm, eliminated: Sequence[RTerm], s: RStore,
+                       delta: DeltaTable, budget: int,
+                       probe_depth: int = 2) -> list[Verdict]:
+    """Run `m` once and each of its `eliminated` forms from `s`; one
+    verdict per form, in order."""
+    assert not rterm_free_vars(m), "theorem checking needs a closed term"
+    ra = run(m, s, delta, budget)
+    return [_verdict(ra, run(e, s, delta, budget), delta, budget, probe_depth)
+            for e in eliminated]
+
+
+def check_theorem(m: RTerm, eliminated: RTerm, s: RStore, delta: DeltaTable,
+                  budget: int, probe_depth: int = 2) -> Verdict:
+    """Run `m` and its `eliminated` form from `s` and compare the outcomes."""
+    return check_eliminations(m, (eliminated,), s, delta, budget,
+                              probe_depth)[0]

@@ -12,6 +12,7 @@ type), so applying one is one host call.  Every other value has a
 """
 from __future__ import annotations
 
+import functools
 import types
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -127,6 +128,16 @@ class CombMeta:
     total_arity: int
     args_seen: int = 0
     pure: bool = True
+
+    @functools.cached_property
+    def successor(self) -> "CombMeta":
+        """The meta of this function's stage after one more argument.
+
+        Made once per meta and kept on it, so every fold of one function
+        shares one object, and the cache lives only as long as the meta.
+        """
+        return CombMeta(self.comb_id, self.total_arity, self.args_seen + 1,
+                        self.pure)
 
 
 # A function value is a plain Python function, so applying one is one host

@@ -9,9 +9,10 @@ from combterp.classical import (Closure, classical_registry, retarget_externs,
 from combterp.errors import (EvalTypeError, StepLimitExceeded, UnboundTagError,
                              UnboundVarError)
 from combterp.frontend import parse
+from combterp.quickgen import GenConfig, gen_expr
 from combterp.runtime import call_deep, fuel
 from combterp.store import Store
-from combterp.syntax import VBool, VInt, VList
+from combterp.syntax import (EConst, Node, VBool, VInt, VList, fun_meta)
 
 
 def run(src, initial=None):
@@ -100,3 +101,45 @@ class TestErrors:
         with pytest.raises(StepLimitExceeded):
             with fuel(1_000):
                 call_deep(run_classical, e, s)
+
+
+def _pairs(a, b):
+    """The corresponding nodes of two surface trees of one shape."""
+    yield a, b
+    for f in a._fields:
+        x = getattr(a, f)
+        if isinstance(x, Node):
+            yield from _pairs(x, getattr(b, f))
+
+
+def _rebinds(e, reg) -> bool:
+    """Whether `e` holds an extern constant the registry binds to another value."""
+    if type(e) is EConst:
+        meta = fun_meta(e.value)
+        return (meta is not None and meta.comb_id in reg
+                and reg[meta.comb_id].value is not e.value)
+    return any(_rebinds(getattr(e, f), reg) for f in e._fields
+               if isinstance(getattr(e, f), Node))
+
+
+class TestRetargetExterns:
+    PROGRAMS = ["((compose (\\x. x * 2)) (\\x. x + 1)) (if true then !t else (t := 3) fi)",
+                "(filter (\\x. 2 <= x)) [1, 2]", "(\\x. x + 1) 2"]
+
+    def test_only_what_holds_a_rebound_extern_is_rebuilt(self):
+        reg = classical_registry(Store())
+        programs = [parse(src) for src in self.PROGRAMS]
+        programs += [gen_expr(GenConfig(seed, allow_effects=True))
+                     for seed in range(200)]
+        rebuilt = 0
+        for e in programs:
+            out = retarget_externs(e, reg)
+            for x, y in _pairs(e, out):
+                if _rebinds(x, reg):
+                    rebuilt += 1
+                    assert y is not x and type(y) is type(x)
+                    if type(x) is EConst:
+                        assert y.value is reg[fun_meta(x.value).comb_id].value
+                else:
+                    assert y is x
+        assert rebuilt >= 8

@@ -4,8 +4,10 @@ import re
 
 import pytest
 
-from combterp import bench
+from combterp import bench, cli
 from combterp.cli import main
+from combterp.elim import ElimAlgo
+from combterp.refsem import RApp, RFunConst, int_const
 
 
 @pytest.fixture
@@ -132,6 +134,23 @@ class TestHarnessCommands:
         assert main(["theorem", "--samples", "5", "--budget", "20000"]) == 0
         out = capsys.readouterr().out
         assert "theorem:" in out and "0 disagree" in out
+
+    def test_theorem_names_the_rule_set_that_disagrees(self, monkeypatch,
+                                                       capsys):
+        real = cli.elim_rterm
+
+        def wrong_for_c1(m, algo):
+            if algo is ElimAlgo.C1:  # runs an effect the source never runs
+                return RApp(RFunConst("set:zz"), int_const(5))
+            return real(m, algo)
+
+        monkeypatch.setattr(cli, "elim_rterm", wrong_for_c1)
+        assert main(["theorem", "--samples", "3", "--budget", "20000"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line[:len("DISAGREE seed 0 [c1]: ")] for line in out[0:6:2]] == [
+            f"DISAGREE seed {n} [c1]: " for n in range(3)]
+        assert all(line.startswith("  term: ") for line in out[1:6:2])
+        assert out[6:] == ["theorem: 6 agree, 0 inconclusive, 3 disagree"]
 
     def test_bench_closes_with_resource_usage(self, monkeypatch, capsys):
         monkeypatch.setattr(bench, "corpus", lambda full=False: bench.scaled_corpus(

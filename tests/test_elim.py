@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from combterp import externs
 from combterp.compare import _observe, normalize_value, observe_combinator
-from combterp.elim import (CbvViolation, ElimAlgo, _hash_consing, check_no_var,
-                           elim, find_cbv_violations, make_combinators,
-                           transform)
+from combterp.elim import (CbvViolation, ElimAlgo, _hash_consing,
+                           _match_if_shape, _occurs_free, check_no_var, elim,
+                           find_cbv_violations, make_combinators, transform)
 from combterp.errors import StepLimitExceeded, UnexpectedNodeError
 from combterp.eval import eval as meval
 from combterp.frontend import parse
@@ -21,9 +21,9 @@ from combterp.quickgen import GenConfig, default_initial, gen_expr
 from combterp.refsem import RAbs, RApp
 from combterp.runtime import apply_value, call_deep, fuel, remaining
 from combterp.store import Store
-from combterp.syntax import (CombMeta, MApp, MConst, PAbs, PApp, PConst, PVar,
-                             VBool, VFun, VInt, count_apps, format_mexpr,
-                             format_value, fun_meta)
+from combterp.syntax import (DUMMY_IDENT, CombMeta, MApp, MConst, PAbs, PApp,
+                             PConst, PVar, VBool, VFun, VInt, count_apps,
+                             format_mexpr, format_value, free_vars, fun_meta)
 
 REG = externs.registry()
 PLUS = REG["plus"].value
@@ -557,6 +557,76 @@ class TestFunctionMetadata:
     def test_non_functions_have_none(self):
         for v in (VInt(1), VBool(False), REG["nil"].value):
             assert fun_meta(v) is None
+
+
+class TestSharedMeta:
+    """Every fold of one function at one stage carries one CombMeta object."""
+
+    def test_two_folds_of_one_combinator_share_their_meta(self):
+        k = PConst(defs_for(ElimAlgo.C2)["K"].value)
+        one, two = (pre_eval(PApp(k, PConst(VInt(n)))) for n in (1, 2))
+        assert one.value is not two.value
+        assert fun_meta(one.value) is fun_meta(two.value)
+        assert fun_meta(one.value) == CombMeta("K", 2, 1, True)
+
+    def test_a_second_fold_shares_the_next_meta(self):
+        s = PConst(defs_for(ElimAlgo.C2)["S"].value)
+        i = PConst(defs_for(ElimAlgo.C2)["I"].value)
+        folds = [pre_eval(PApp(PApp(s, i), arg)) for arg in (i, s)]
+        assert fun_meta(folds[0].value) is fun_meta(folds[1].value)
+        assert fun_meta(folds[0].value) == CombMeta("S", 3, 2, True)
+
+    @pytest.mark.parametrize("algo", list(ElimAlgo))
+    def test_one_meta_per_stage_over_a_corpus(self, algo):
+        metas = {}
+        for p in _digest_programs():
+            for t in _nodes(call_deep(elim, p, algo, pre_eval=True)).values():
+                meta = type(t) is PConst and fun_meta(t.value)
+                if meta and meta.args_seen:
+                    metas.setdefault(meta, set()).add(id(meta))
+        assert metas and all(len(ids) == 1 for ids in metas.values())
+
+
+def _abstractions(p) -> list:
+    found, todo = [], [p]
+    while todo:
+        t = todo.pop()
+        if type(t) is PAbs:
+            found.append(t)
+            todo.append(t.body)
+        elif type(t) is PApp:
+            todo += [t.fn, t.arg]
+    return found
+
+
+class TestOccursCheck:
+    def test_agrees_with_free_vars_on_every_thunk_body(self):
+        thunks = 0
+        for p in _digest_programs():
+            for a in _abstractions(p):
+                fv = free_vars(a.body)
+                for x in fv | {a.param, "z"}:
+                    assert _occurs_free(x, a.body) == (x in fv), (x, a)
+                thunks += a.param == DUMMY_IDENT
+        assert thunks > 100
+
+    def test_a_shadowing_binder_hides_its_body(self):
+        # \z. (plus (\z. z)) 1: the inner z is bound by the inner binder
+        body = PApp(PApp(PConst(PLUS), PAbs("z", PVar("z"))), PConst(VInt(1)))
+        assert not _occurs_free("z", body)
+        assert _occurs_free("z", PApp(body, PAbs("y", PVar("z"))))
+
+    def test_a_thunk_that_uses_its_binder_is_no_if_shape(self):
+        def cond(then, other):
+            return PApp(PApp(PApp(PConst(FUN_IF), PVar("c")), then), other)
+
+        uses = PAbs("z", PVar("z"))
+        ignores = PAbs("z", PConst(VInt(1)))
+        shadows = PAbs("z", PAbs("z", PVar("z")))
+        assert _match_if_shape(cond(ignores, shadows)) == (
+            PVar("c"), ignores.body, shadows.body)
+        assert _match_if_shape(cond(uses, ignores)) is None
+        assert _match_if_shape(cond(ignores, uses)) is None
 
 
 class TestCbvDiscipline:

@@ -70,6 +70,11 @@ class TestShapes:
         ctx = PurifyCtx(Store())
         assert _is_pexpr(purify(gen_expr(GenConfig(seed=seed)), ctx))
 
+    @pytest.mark.parametrize("e", [PVar("x"), VInt(1), None])
+    def test_a_non_expr_is_rejected(self, e):
+        with pytest.raises(TypeError, match="not an Expr"):
+            purify(e, PurifyCtx(Store()))
+
     def test_purify_touches_no_store(self):
         s = Store({"t": VInt(1)})
         purify(parse("(t := (!t + 1))"), PurifyCtx(s))

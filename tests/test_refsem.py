@@ -12,9 +12,10 @@ from combterp.elim import IF_TERM, ElimAlgo, elim_rterm, make_combinators
 from combterp.errors import UnexpectedNodeError
 from combterp.quickgen import GenConfig, default_rstore, gen_rterm
 from combterp.refsem import (Outcome, RAbs, RApp, RFunConst, RStore, RVar,
-                             bool_const, check_theorem, const_bool, const_int,
-                             int_const, is_value, rstore, rterm_free_vars, run,
-                             standard_delta, step, subst)
+                             bool_const, check_eliminations, check_theorem,
+                             const_bool, const_int, int_const, is_value,
+                             rstore, rterm_free_vars, run, standard_delta,
+                             step, subst)
 
 DELTA = standard_delta()
 elim_mod = importlib.import_module("combterp.elim")  # `combterp.elim` is a function
@@ -282,6 +283,33 @@ class TestCheckTheorem:
     def test_requires_a_closed_term(self, algo):
         with pytest.raises(AssertionError):
             check_theorem(RVar("x"), RVar("x"), RStore(), DELTA, 100)
+
+
+def test_a_stuck_run_must_have_run_the_same_effects():
+    stuck = RApp(int_const(1), int_const(2))
+    after_a_set = RApp(RAbs("d", stuck), RApp(RFunConst("set:t"), int_const(9)))
+    assert go(after_a_set).kind == "stuck"
+    v = check_theorem(stuck, after_a_set, RStore(), DELTA, 1000)
+    assert (v.kind, v.details) == ("disagree", "final store bindings differ")
+    assert check_theorem(after_a_set, after_a_set, RStore(), DELTA, 1000) == (
+        refsem.Verdict("agree", "both stuck"))
+
+
+def test_the_source_term_is_run_once_for_all_forms(monkeypatch):
+    cfg = GenConfig(seed=77_001)
+    m, s = gen_rterm(cfg), default_rstore(cfg)
+    forms = [elim_rterm(m, algo) for algo in ALGOS]
+    want = [check_theorem(m, f, s, DELTA, 100_000) for f in forms]
+    runs = []
+
+    def counted(t, *args):
+        runs.append(t)
+        return run(t, *args)
+
+    monkeypatch.setattr(refsem, "run", counted)
+    assert check_eliminations(m, forms, s, DELTA, 100_000) == want
+    assert sum(t is m for t in runs) == 1
+    assert [t for t in runs if any(t is f for f in forms)] == forms
 
 
 @pytest.mark.parametrize("algo", [ElimAlgo.C1, ElimAlgo.C2])
