@@ -26,6 +26,14 @@ def _read_source(path: str) -> SourceProgram:
         return SourceProgram(f.read(), path)
 
 
+def _budget(text: str) -> int:
+    """A `--budget` value: a non-negative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
 def _format_observed(v) -> str:
     """A value or a normalized trace value, each function as `<fun>`."""
     if isinstance(v, tuple):  # a list that holds a function, normalized
@@ -145,7 +153,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="evaluate a program")
     common(p)
-    p.add_argument("--budget", type=int, default=compare_mod.RUN_BUDGET)
+    p.add_argument("--budget", type=_budget, default=compare_mod.RUN_BUDGET)
     p.add_argument("--emit", choices=["value", "trace"], default="value")
     p.set_defaults(fn=cmd_run)
 
@@ -157,7 +165,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("compare", help="differential check vs classical")
     p.add_argument("file", nargs="?", help="program path; omit to use seeds")
-    p.add_argument("--budget", type=int, default=compare_mod.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=compare_mod.DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)
     p.set_defaults(fn=cmd_compare)
@@ -165,13 +173,13 @@ def main(argv=None) -> int:
     p = sub.add_parser("bench", help="run the benchmark corpus")
     p.add_argument("--full", action="store_true")
     p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--budget", type=int, default=bench_mod.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=bench_mod.DEFAULT_BUDGET)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("theorem", help="empirical elimination-correctness check")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--budget", type=_budget, default=100_000)
     p.set_defaults(fn=cmd_theorem)
 
     args = ap.parse_args(argv)

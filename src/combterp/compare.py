@@ -87,8 +87,12 @@ def _observe(s: Store, budget: int, prepare, run) -> Observation:
     is as safe to parse and transform as to evaluate.  The budget is set
     and `steps` read inside the job, on the worker, which runs one job at
     a time: runs observed from several threads at once each spend their
-    own fuel.  `eval_s` times `run` alone.
+    own fuel.  `eval_s` times `run` alone.  A budget that is not a
+    non-negative integer is rejected before anything runs.
     """
+    if type(budget) is not int or budget < 0:
+        raise ValueError(
+            f"budget must be a non-negative integer, got {budget!r}")
     kind, value, error, steps, eval_s = "value", None, None, None, 0.0
 
     def job():

@@ -37,12 +37,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from . import runtime as _rt
-from .errors import (BAD_CONDITION, EvalTypeError, InterpError,
-                     UnexpectedNodeError)
+from . import runtime
+from .errors import BAD_CONDITION, InterpError, UnexpectedNodeError
 from .purify import FUN_IF
 from .refsem import RAbs, RApp, RFunConst, RTerm, RVar
-from .syntax import (MExpr, PAbs, PApp, PConst, PVar, PExpr, VBool, VFun,
+from .syntax import (MExpr, PAbs, PApp, PConst, PVar, PExpr, VFun,
                      fun_meta, with_meta)
 
 
@@ -64,22 +63,15 @@ class CombinatorDef:
     mask: Optional[tuple] = None     # True = branch receives the bound variables
 
 
-# names the generated combinator bodies refer to; the failure branches
-# call a global and raise a constant, so they add no inline cache to the
-# hottest code there is
-_GEN_GLOBALS = {"VFun": VFun, "VBool": VBool, "EvalTypeError": EvalTypeError,
-                "_rt": _rt, "_exhaust": _rt.exhaust}
-
-
 def _spend_src(cost: int) -> list[str]:
     """Inlined fuel spend, as `apply_value` does it but `cost` units at once."""
     if cost == 0:
         return []
-    return ["r = _rt._remaining",
+    return ["r = _remaining",
             "if r is not None:",
             f"    if r < {cost}:",
-            "        _exhaust()",
-            f"    _rt._remaining = r - {cost}"]
+            "        exhaust()",
+            f"    _remaining = r - {cost}"]
 
 
 def _native(comb_id: str, params: list[str], body: list[str]) -> VFun:
@@ -89,16 +81,29 @@ def _native(comb_id: str, params: list[str], body: list[str]) -> VFun:
     next one itself: a stage is a plain function value.  The innermost
     stage runs `body`, so a firing costs no call beyond the stages.  Only
     the outermost stage, the roster constant, carries a `meta`.
+
+    A stage takes the arguments it has already received as default
+    parameters (`def _s2(x0, a0=a0, a1=a1)`), not as closure cells: each
+    stage holds its own arguments, building one makes no cell, and the
+    body reads its branches as fast locals.  The defaults are positional,
+    because keyword-only defaults keep CPython 3.11 from specialising the
+    call of a stage.  The source is compiled with `runtime`'s namespace
+    as its globals, so the body spends the fuel as a plain global there
+    (`_remaining`); its failure branches call a global (`exhaust`) and
+    raise a constant, so they add no inline cache to the hottest code
+    there is.
     """
     lines = []
     for depth, p in enumerate(params):
-        lines.append("    " * depth + f"def _s{depth}({p}):")
-    lines += ["    " * len(params) + line for line in body]
+        seen = "".join(f", {q}={q}" for q in params[:depth])
+        lines.append("    " * depth + f"def _s{depth}({p}{seen}):")
+    indent = "    " * len(params)
+    lines += [indent + "global _remaining"] + [indent + line for line in body]
     for depth in reversed(range(1, len(params))):
         lines.append("    " * depth + f"return _s{depth}")
-    ns = dict(_GEN_GLOBALS)
-    exec("\n".join(lines), ns)
-    return with_meta(ns["_s0"], comb_id, len(params))
+    stages = {}
+    exec("\n".join(lines), vars(runtime), stages)
+    return with_meta(stages["_s0"], comb_id, len(params))
 
 
 def _mask_body(n_abs: int, mask: tuple) -> list[str]:

@@ -2,15 +2,18 @@
 
 A function value is a plain Python function, so applying one is `f(v)`.
 Every application spends one unit of a single fuel counter first: in
-`apply_value`, in `eval`'s inlined copy of it and in the generated
-combinator bodies, so the counter bounds divergent programs in every
-interpreter uniformly.  The counter is one module global, scoped with
-the `fuel` context manager.  Runs that set it inside their `call_deep`
-job, as `compare` does, cannot disturb each other: the worker runs one
-job at a time.  A spend that the fuel left cannot pay ends the run
-through `exhaust`, so a budget-ended run has spent its whole budget,
-even where a combinator body or a folded term spends several units at
-once.
+`apply_value`, in `eval` and in the generated combinator bodies, so the
+counter bounds divergent programs in every interpreter uniformly.  The
+counter is the plain global `_remaining` of this module, scoped with the
+`fuel` context manager.  `eval` is defined here, and `elim` compiles the
+combinator bodies with this module's namespace as their globals, so
+every spend reads and writes the counter as a global of its own code,
+never as an attribute of another module.  Runs that set it inside their
+`call_deep` job, as `compare` does, cannot disturb each other: the
+worker runs one job at a time.  A spend that the fuel left cannot pay
+ends the run through `exhaust`, so a budget-ended run has spent its
+whole budget, even where a combinator body or a folded term spends
+several units at once.
 
 `call_deep` runs a job where deep Python recursion is safe: omega-encoded
 recursion and the transform of large terms nest hundreds of thousands of
@@ -30,8 +33,10 @@ import sys
 import threading
 from contextlib import contextmanager
 
-from .errors import StepLimitExceeded
-from .syntax import VFun
+# `EvalTypeError` and `VBool` are read by the generated combinator bodies,
+# whose globals are this module's (see `elim._native`)
+from .errors import EvalTypeError, StepLimitExceeded  # noqa: F401
+from .syntax import MExpr, PApp, PConst, Value, VBool, VFun  # noqa: F401
 
 _remaining = None  # None = unlimited
 
@@ -86,6 +91,46 @@ def apply_value(f, v):
             exhaust()
         _remaining -= 1
     return f(v)
+
+
+def eval(e: MExpr) -> Value:
+    """The minimal evaluator: constants and one kind of application.
+
+    No environments, no substitution; reducing an application is a
+    single host-language call `f(v)`, so the only recursion here is
+    structural.  The fuel spend of `apply_value` is inlined, so no frame
+    is added per application.
+
+    An application folded at transform time (`PApp.cost` nonzero) is not
+    entered: its tree holds only partial applications of pure functions,
+    which fire nothing, run no effect and cannot fail, so it spends the
+    applications of that tree at once and returns the value it carries.
+    A budget that cannot pay them all ends the run as applying them one
+    by one would: with the whole budget spent.
+    """
+    global _remaining
+    t = type(e)
+    if t is PApp:
+        if e.cost:
+            r = _remaining
+            if r is not None:
+                if r < e.cost:
+                    exhaust()
+                _remaining = r - e.cost
+            return e.value
+        f = eval(e.fn)
+        v = eval(e.arg)
+        if type(f) is not VFun:
+            f(v)  # a non-function's __call__ raises, before any spend
+        r = _remaining
+        if r is not None:
+            if r <= 0:
+                exhaust()
+            _remaining = r - 1
+        return f(v)
+    if t is PConst:
+        return e.value
+    raise TypeError(f"not an MExpr: {e!r}")
 
 
 _STACK_BYTES = 512 * 1024 * 1024

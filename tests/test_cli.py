@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import combterp
 from combterp import bench, cli
 from combterp.cli import main
 from combterp.elim import ElimAlgo
@@ -58,6 +63,25 @@ class TestRun:
         f = source("(\\w. w w) (\\w. w w)")
         assert main(["run", f, "--budget", "10000"]) == 1
         assert "limit" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["run", "compare", "bench", "theorem"])
+    def test_a_negative_budget_is_rejected(self, source, capsys, command):
+        args = [command] + ([source("1")] if command in ("run", "compare")
+                            else [])
+        with pytest.raises(SystemExit) as info:
+            main(args + ["--budget", "-1"])
+        assert info.value.code == 2
+        assert ("argument --budget: must be non-negative, got -1"
+                in capsys.readouterr().err)
+
+    def test_runs_as_a_module_without_an_install(self, source, tmp_path):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(combterp.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "combterp", "run", source("1 + 2 * 3")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "7\n", "")
 
 
 class TestTransform:

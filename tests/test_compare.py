@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from combterp.classical import Closure, Env
-from combterp.compare import (CompareResult, Observation, compare_expr,
-                              compare_observations, normalize_value,
-                              observe_classical, observe_combinator)
+from combterp.compare import (CompareResult, Observation, _observe,
+                              compare_expr, compare_observations,
+                              normalize_value, observe_classical,
+                              observe_combinator)
 from combterp.elim import ElimAlgo
 from combterp.frontend import parse
+from combterp.store import Store
 from combterp.syntax import EVar, VBool, VInt, VList
 
 ALGOS = list(ElimAlgo)
@@ -49,6 +53,27 @@ class TestObserve:
         omega = parse("(\\w. w w) (\\w. w w)")
         limited = observe_classical(omega, budget=5_000)
         assert limited.kind == "limit" and limited.excluded
+
+    @pytest.mark.parametrize("budget", [None, -5, -1, 2.0, "10", True])
+    def test_a_budget_that_is_not_a_non_negative_integer_is_rejected(self,
+                                                                     budget):
+        message = re.escape(f"got {budget!r}")
+        with pytest.raises(ValueError, match=message):
+            observe_classical(parse("1 + 2"), budget=budget)
+        with pytest.raises(ValueError, match=message):
+            observe_combinator(parse("1 + 2"), ElimAlgo.C2, budget=budget)
+        ran = []
+        with pytest.raises(ValueError, match=message):
+            _observe(Store(), budget, lambda: ran.append("prepare"),
+                     lambda _: ran.append("run"))
+        assert ran == []
+
+    def test_a_zero_budget_runs_what_applies_nothing(self):
+        obs = observe_classical(parse("1"), budget=0)
+        assert (obs.kind, obs.value, obs.steps) == ("value", VInt(1), 0)
+        for algo in ElimAlgo:
+            obs = observe_combinator(parse("1 + 2"), algo, budget=0)
+            assert (obs.kind, obs.steps) == ("limit", 0)
 
 
 # far past the caller's recursion limit: an application chain and a list

@@ -150,6 +150,67 @@ class TestFiringFuel:
             assert spent == want, d.comb_id
 
 
+def _sym(term):
+    """A function that records what it is applied to, spending nothing."""
+    def f(v):
+        return _sym((term, getattr(v, "term", v)))
+    f.term = term
+    return f
+
+
+def _first_is_from(tag, n_abs):
+    """An S_IF condition: whether its first bound variable came from `tag`."""
+    def cond(x):
+        b = VBool(x.term.startswith(tag))
+        return b if n_abs == 1 else (lambda y: b)
+    return cond
+
+
+def _stage_args(d, tag):
+    args = [_sym(f"{tag}{i}") for i in range(d.total_arity)]
+    if d.comb_id.startswith("S_IF"):
+        args[0] = _first_is_from("a", d.total_arity - 3)
+    return args
+
+
+def _finish(stage, rest, spent=0):
+    """`stage` applied to `rest` in turn: the result and the fuel spent."""
+    with fuel(1_000):
+        out = functools.reduce(apply_value, rest, stage)
+        return getattr(out, "term", out), spent + 1_000 - remaining()
+
+
+class TestPartialStages:
+    """A partial stage keeps its own arguments, however often it is applied."""
+
+    @pytest.mark.parametrize("folded", [False, True], ids=["run-time", "fold"])
+    def test_a_stage_fires_each_next_argument_as_a_fresh_one(self, folded):
+        cases, differ = 0, 0
+        for d in defs_for(ElimAlgo.C2).values():
+            a, b = _stage_args(d, "a"), _stage_args(d, "b")
+            for p in range(d.total_arity):
+                def stage():
+                    if not folded:
+                        return functools.reduce(apply_value, a[:p], d.value)
+                    out = pre_eval(functools.reduce(
+                        lambda f, v: PApp(f, PConst(v)), a[:p], PConst(d.value)))
+                    assert fun_meta(out.value).args_seen == p, d.comb_id
+                    return out.value
+                fresh = [_finish(stage(), a[p:]), _finish(stage(), b[p:])]
+                shared = stage()
+                # both next stages exist before either goes on
+                left, left_spent = _finish(shared, a[p:p + 1])
+                right, right_spent = _finish(shared, b[p:p + 1])
+                got = [_finish(left, a[p + 1:], left_spent),
+                       _finish(right, b[p + 1:], right_spent)]
+                assert got == fresh, (d.comb_id, p)
+                cases, differ = cases + 1, differ + (fresh[0] != fresh[1])
+        # they differ unless every argument from `p` on is one that the
+        # combinator drops: K, N, S_2[000], S^2[00] and K^2 at their bound
+        # variables, I^2 at its second
+        assert (cases, differ) == (82, 74)
+
+
 def run_surface(src, algo, **kw):
     ctx = PurifyCtx(Store())
     return meval(transform(purify(parse(src), ctx), algo, **kw))

@@ -12,11 +12,13 @@ import pytest
 from combterp import externs, run_source
 from combterp.classical import happ
 from combterp.compare import observe_classical, observe_combinator
-from combterp.elim import ElimAlgo, make_combinators
+from combterp.elim import ElimAlgo, make_combinators, transform
 from combterp.errors import EvalTypeError, StepLimitExceeded
 from combterp.eval import eval as meval
 from combterp.frontend import parse
+from combterp.purify import PurifyCtx, purify
 from combterp.runtime import apply_value, call_deep, fuel, remaining
+from combterp.store import Store
 from combterp.syntax import (DUMMY_VAL, EAbs, EApp, EConst, EIf, EVar, MApp,
                              MConst, VBool, VFun, VInt, VList, format_value)
 
@@ -383,6 +385,46 @@ class TestFuelPerRun:
         assert not any(t.is_alive() for t in threads)
         assert got[long_run] == [alone[long_run]] * 3
         assert got[short_run] == [alone[short_run]] * 60
+
+
+# One short program through every site that spends fuel: the generated
+# bodies' bulk spends, S_IF's unit spends (c1, c2), eval's single spends and,
+# under fab without pre-evaluation, its folded spends, and `apply_value` in
+# purify's IF (the outer conditional), `compose` and `filter`.
+EVERY_SPEND = """
+if 1 <= 2 then
+  (compose (plus 1) (plus 2))
+    (head (filter (\\x. if x <= 3 then false else true fi) [1, 5, 7]))
+else 0 fi
+"""
+
+
+def _has_folded_node(e) -> bool:
+    return type(e) is MApp and (e.cost > 0 or _has_folded_node(e.fn)
+                                or _has_folded_node(e.arg))
+
+
+class TestOneFuelCounter:
+    @pytest.mark.parametrize("algo,pre,cost", [(ElimAlgo.FAB, False, 289),
+                                               (ElimAlgo.FAB, True, 100),
+                                               (ElimAlgo.C1, None, 56),
+                                               (ElimAlgo.C2, None, 69)])
+    def test_every_budget_ends_with_the_whole_budget_spent(self, algo, pre,
+                                                           cost):
+        m = transform(purify(parse(EVERY_SPEND), PurifyCtx(Store())), algo,
+                      pre_eval=pre)
+        assert _has_folded_node(m) is (pre is False)
+        full = observe_combinator(EVERY_SPEND, algo, budget=10_000,
+                                  pre_eval=pre)
+        assert (full.kind, full.value, full.steps) == ("value", VInt(8), cost)
+        at_cost = observe_combinator(EVERY_SPEND, algo, budget=cost,
+                                     pre_eval=pre)
+        assert (at_cost.kind, at_cost.value, at_cost.steps) == (
+            "value", VInt(8), cost)
+        for budget in range(1, cost):
+            obs = observe_combinator(EVERY_SPEND, algo, budget=budget,
+                                     pre_eval=pre)
+            assert (obs.kind, obs.steps) == ("limit", budget), budget
 
 
 class TestRunSource:
