@@ -5,7 +5,7 @@ compiled into variable-free combinator terms (`transform`), and run by a
 minimal evaluator whose only application mechanism is a native call.
 """
 from .compare import RUN_BUDGET, observe_combinator
-from .elim import ElimAlgo, elim, make_combinators, transform
+from .elim import ElimAlgo, make_combinators, transform
 from .errors import InterpError
 from .frontend import SourceProgram, check_closed, parse
 from .eval import eval as meval
@@ -15,7 +15,7 @@ from .syntax import Value, count_apps, format_value, value_ground_eq
 
 __all__ = [
     "ElimAlgo", "InterpError", "PurifyCtx", "SourceProgram", "Store",
-    "Value", "check_closed", "count_apps", "elim", "format_value",
+    "Value", "check_closed", "count_apps", "format_value",
     "make_combinators", "meval", "parse", "purify", "transform",
     "value_ground_eq",
 ]

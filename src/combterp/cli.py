@@ -34,6 +34,14 @@ def _budget(text: str) -> int:
     return n
 
 
+def _samples(text: str) -> int:
+    """A `--samples` value: a positive integer."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _format_observed(v) -> str:
     """A value or a normalized trace value, each function as `<fun>`."""
     if isinstance(v, tuple):  # a list that holds a function, normalized
@@ -167,7 +175,7 @@ def main(argv=None) -> int:
     p.add_argument("file", nargs="?", help="program path; omit to use seeds")
     p.add_argument("--budget", type=_budget, default=compare_mod.DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_samples, default=1000)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("bench", help="run the benchmark corpus")
@@ -178,7 +186,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("theorem", help="empirical elimination-correctness check")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_samples, default=1000)
     p.add_argument("--budget", type=_budget, default=100_000)
     p.set_defaults(fn=cmd_theorem)
 

@@ -106,7 +106,7 @@ def _native(comb_id: str, params: list[str], body: list[str]) -> VFun:
     return with_meta(stages["_s0"], comb_id, len(params))
 
 
-def _mask_body(n_abs: int, mask: tuple) -> list[str]:
+def _mask_body(n_abs: int, mask: tuple, skipped: int = 0) -> list[str]:
     """The full-arity behavior: distribute the bound variables per the mask.
 
     Branch applications are interleaved with the spine applications so the
@@ -115,6 +115,13 @@ def _mask_body(n_abs: int, mask: tuple) -> list[str]:
     spent in bulk before any application.  There is no type check: a
     non-function's `__call__` raises the error `apply_value` would, after
     the same spend.
+
+    `skipped` counts applications of the term that the body leaves out but
+    still pays for.  An S stage whose branch is a folded `K q` (see
+    `_fold`) runs the body of the mask that passes `q` as a constant: it
+    skips the K firing `(K q) x`, which only gives `q` back and spends
+    nothing itself, but S's firing spends one unit for it.  So the body
+    spends S's 3, and steps stay those of the textbook term.
     """
     k = len(mask)
     if k == 1:
@@ -128,7 +135,7 @@ def _mask_body(n_abs: int, mask: tuple) -> list[str]:
             src = dst
         return out
 
-    body = _spend_src((k - 1) + n_abs * sum(mask))
+    body = _spend_src((k - 1) + n_abs * sum(mask) + skipped)
     body += dist("a0", "h") if mask[0] else ["h = a0"]
     for i in range(1, k):
         arg = f"a{i}"
@@ -139,10 +146,11 @@ def _mask_body(n_abs: int, mask: tuple) -> list[str]:
     return body
 
 
-def _mask_value(comb_id: str, n_abs: int, mask: tuple) -> VFun:
+def _mask_value(comb_id: str, n_abs: int, mask: tuple,
+                skipped: int = 0) -> VFun:
     params = ([f"a{i}" for i in range(len(mask))]
               + [f"x{j}" for j in range(n_abs)])
-    return _native(comb_id, params, _mask_body(n_abs, mask))
+    return _native(comb_id, params, _mask_body(n_abs, mask, skipped))
 
 
 def _dist_term(name: str, abs_vars: list[str]) -> RTerm:
@@ -307,11 +315,47 @@ def _apply_early(meta, seen: int, fv, av):
         return None
 
 
+# S with a folded `K q` for a branch, as the stage of the mask combinator
+# that passes `q` as a constant; each spends the K firings it skips
+_S_KP = _mask_value("S", 1, (False, True), 1)      # S (K p) q x = p (q x)
+_S_PK = _mask_value("S", 1, (True, False), 1)      # S p (K q) x = p x q
+_S_KPKQ = _mask_value("S", 1, (False, False), 2)   # S (K p) (K q) x = p q
+_S_KP_STAGE = _S_KP(None).__code__  # a folded `S (K p)`, not a plain S stage
+
+
+def _skip_k(fv, seen: int, v):
+    """`fv (K v)`, where `fv` is S after `seen` arguments, as the stage
+    that passes `v` as a constant."""
+    if not seen:
+        return _S_KP(v)               # S (K v)
+    p = fv.__defaults__[0]
+    if fv.__code__ is _S_KP_STAGE:    # S (K p) (K v), not S p (K v)
+        return _S_KPKQ(p)(v)
+    return _S_PK(p)(v)                # S p (K v)
+
+
 def _fold(f: PExpr, a: PExpr) -> PExpr:
-    """The application `f a`, folded if it is a safe partial combinator application."""
+    """The application `f a`, folded if it is a safe partial combinator application.
+
+    A fold of S whose argument is a folded `K q` makes the stage of the B,
+    C or N shape instead, as Turner's `S (K p) q = B p q`, but on values
+    only: `S (K p)`, `(S p) (K q)` and `(S (K p)) (K q)` skip the K firing
+    `(K q) x`, a host call that only gives `q` back.  The steps of a run
+    count the applications of the term, and that firing is one of S's 3,
+    so the stage still spends 3 per firing (see `_mask_body`).  It is
+    marked as a stage of S: the term, its printing and the steps of a run
+    are unchanged.
+    """
     if type(f) is PConst and type(a) is PConst and type(f.value) is VFun:
-        meta = fun_meta(f.value)
-        folded = _apply_early(meta, 0, f.value, a.value)
+        fv, av = f.value, a.value
+        meta = fun_meta(fv)
+        folded = None
+        if meta is not None and meta.comb_id == "S" and meta.args_seen < 2:
+            km = fun_meta(av)
+            if km is not None and km.comb_id == "K" and km.args_seen == 1:
+                folded = _skip_k(fv, meta.args_seen, av.__defaults__[0])
+        if folded is None:
+            folded = _apply_early(meta, 0, fv, av)
         if folded is not None:
             # a stage returns a fresh function; its mark is the head's
             # successor, one object shared by every fold of the head

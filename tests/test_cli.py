@@ -75,6 +75,15 @@ class TestRun:
         assert ("argument --budget: must be non-negative, got -1"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["compare", "theorem"])
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_fewer_than_one_sample_is_rejected(self, capsys, command, samples):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--samples", samples])
+        assert info.value.code == 2
+        assert (f"argument --samples: must be at least 1, got {samples}"
+                in capsys.readouterr().err)
+
     def test_runs_as_a_module_without_an_install(self, source, tmp_path):
         env = dict(os.environ,
                    PYTHONPATH=str(Path(combterp.__file__).parents[1]))

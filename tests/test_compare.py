@@ -11,14 +11,21 @@ from combterp.compare import (CompareResult, Observation, _observe,
                               observe_combinator)
 from combterp.elim import ElimAlgo
 from combterp.frontend import parse
+from combterp.quickgen import GenConfig, default_initial, gen_expr
 from combterp.store import Store
-from combterp.syntax import EVar, VBool, VInt, VList
+from combterp.syntax import EGet, ESet, EVar, Node, VBool, VInt, VList
 
 ALGOS = list(ElimAlgo)
 
 
 def check(src, initial=None, budget=200_000):
     return compare_expr(parse(src), ALGOS, initial=initial, budget=budget)
+
+
+def _has_effects(e) -> bool:
+    """Whether `e` holds a store read or write anywhere, run or not."""
+    return isinstance(e, (EGet, ESet)) or any(
+        _has_effects(c) for c in e._values() if isinstance(c, Node))
 
 
 class TestNormalize:
@@ -162,3 +169,24 @@ class TestCompareExpr:
     def test_divergence_is_excluded(self):
         for r in check("(\\w. w w) (\\w. w w)", budget=20_000).values():
             assert r.excluded and r.agree
+
+    def test_fab_with_pre_evaluation_agrees_on_effectful_programs(self):
+        # `compare_expr` runs fab as its default has it, without
+        # pre-evaluation; its pre-evaluated terms are checked here
+        initial = default_initial(GenConfig(seed=0))
+        disagree, excluded, programs, seed = [], 0, 0, 610_000
+        while programs < 300:
+            e = gen_expr(GenConfig(seed=seed))
+            seed += 1
+            if not _has_effects(e):
+                continue
+            programs += 1
+            r = compare_observations(
+                observe_classical(e, initial, 10_000),
+                observe_combinator(e, ElimAlgo.FAB, initial, 200_000,
+                                   pre_eval=True))
+            excluded += r.excluded
+            if not r.agree:
+                disagree.append((seed - 1, r.detail))
+        assert disagree == []
+        assert excluded <= 300 * 0.05

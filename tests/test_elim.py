@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import sys
+import types
 from collections import Counter
 
 import pytest
@@ -13,7 +15,8 @@ from combterp.compare import _observe, normalize_value, observe_combinator
 from combterp.elim import (CbvViolation, ElimAlgo, _hash_consing,
                            _match_if_shape, _occurs_free, check_no_var, elim,
                            find_cbv_violations, make_combinators, transform)
-from combterp.errors import StepLimitExceeded, UnexpectedNodeError
+from combterp.errors import (EvalTypeError, StepLimitExceeded,
+                             UnexpectedNodeError)
 from combterp.eval import eval as meval
 from combterp.frontend import parse
 from combterp.purify import FUN_IF, PurifyCtx, purify
@@ -44,6 +47,11 @@ def defs_for(algo):
 def pre_eval(e):
     """`e` with its safe partial applications folded; it has no binders."""
     return elim(e, ElimAlgo.FAB, pre_eval=True)
+
+
+def test_the_submodule_imports_as_a_module():
+    import combterp.elim as m
+    assert type(m) is types.ModuleType and m.transform is transform
 
 
 class TestRosters:
@@ -209,6 +217,119 @@ class TestPartialStages:
         # combinator drops: K, N, S_2[000], S^2[00] and K^2 at their bound
         # variables, I^2 at its second
         assert (cases, differ) == (82, 74)
+
+
+# which branch of S is a K stage: `S (K p) q`, `S p (K q)`, `S (K p) (K q)`
+K_SKIP_SHAPES = {"B": (True, False), "C": (False, True), "N": (True, True)}
+
+
+def _s_stage(algo, shape, p, q, folded):
+    """S applied to `p` and `q`, each under K where `shape` says: folded by
+    pre-evaluation, or applied by `apply_value` as at run time."""
+    d = defs_for(algo)
+    s, k = d["S"].value, d["K"].value
+    if not folded:
+        return app(s, *[app(k, v) if wrap else v
+                        for v, wrap in zip((p, q), K_SKIP_SHAPES[shape])])
+    e = PConst(s)
+    for v, wrap in zip((p, q), K_SKIP_SHAPES[shape]):
+        e = PApp(e, PApp(PConst(k), PConst(v)) if wrap else PConst(v))
+    out = pre_eval(e)
+    assert type(out) is PConst
+    return out.value
+
+
+def _effect_sym(term, store):
+    """A `_sym` that writes each application to `store`, and applies a
+    function it is given, so a branch passed as a constant runs its effect
+    where the firing hands it on."""
+    def f(v):
+        store.set(str(term), VInt(len(store.trace)))
+        if type(v) is VFun:
+            v(VInt(0))
+        return _effect_sym((term, getattr(v, "term", v)), store)
+    f.term = term
+    return f
+
+
+def _calls(stage, x):
+    """The code objects of the Python calls that `stage x` makes."""
+    codes = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        apply_value(stage, x)
+    finally:
+        sys.setprofile(None)
+    return codes
+
+
+@pytest.mark.parametrize("shape", list(K_SKIP_SHAPES))
+@pytest.mark.parametrize("algo", list(ElimAlgo))
+class TestKSkip:
+    """A fold of S whose branch is a folded K stage makes a stage that skips
+    the K firing, and fires as the stage built at run time does."""
+
+    def both(self, algo, shape, p, q):
+        return [_s_stage(algo, shape, p, q, folded) for folded in (False, True)]
+
+    def test_the_result_and_the_fuel_are_those_of_s(self, algo, shape):
+        want = {"B": ("p", ("q", "x")), "C": (("p", "x"), "q"),
+                "N": ("p", "q")}[shape]
+        got = [_finish(stage, [_sym("x")])
+               for stage in self.both(algo, shape, _sym("p"), _sym("q"))]
+        # one application of the stage and the three of S's firing
+        assert got == [(want, 4)] * 2
+
+    def test_an_integer_p_fails_alike(self, algo, shape):
+        errors = []
+        for stage in self.both(algo, shape, VInt(1), _sym("q")):
+            with fuel(1_000):
+                with pytest.raises(EvalTypeError) as info:
+                    apply_value(stage, _sym("x"))
+                errors.append((str(info.value), 1_000 - remaining()))
+        assert errors[0] == errors[1]
+        assert errors[0][1] == 4
+
+    def test_effects_and_every_budget_end_alike(self, algo, shape):
+        runs = []
+        for folded in (False, True):
+            ends = []
+            for budget in range(5):
+                s = Store()
+                stage = _s_stage(algo, shape, _effect_sym("p", s),
+                                 _effect_sym("q", s), folded)
+                ends.append(_observed(_observe(
+                    s, budget, lambda: stage,
+                    lambda st: apply_value(st, _sym("x")))))
+            runs.append(ends)
+        assert runs[0] == runs[1]
+        assert [(kind, steps) for kind, _, _, _, steps, _ in runs[1]] == [
+            ("limit", 0), ("limit", 1), ("limit", 2), ("limit", 3),
+            ("value", 4)]
+        assert "q" in [tag for _, tag, _ in runs[1][-1][2]]  # q's effect ran
+
+    def test_a_folded_stage_is_marked_and_printed_as_s(self, algo, shape):
+        s = defs_for(algo)["S"].value
+        p, q = _sym("p"), _sym("q")
+        plain = pre_eval(PApp(PApp(PConst(s), PConst(p)), PConst(q))).value
+        stage = _s_stage(algo, shape, p, q, folded=True)
+        assert fun_meta(stage) is fun_meta(plain) == CombMeta("S", 3, 2)
+        assert format_value(stage) == format_value(plain) == "<S+2>"
+        runtime_stage = _s_stage(algo, shape, p, q, folded=False)
+        assert (fun_meta(runtime_stage), format_value(runtime_stage)) == (
+            None, "<fun>")
+
+    def test_a_folded_stage_makes_no_call_into_k(self, algo, shape):
+        k_stage = app(defs_for(algo)["K"].value, VInt(0)).__code__
+        at_run_time, folded = [_calls(stage, _sym("x")) for stage in
+                               self.both(algo, shape, _sym("p"), _sym("q"))]
+        assert k_stage in at_run_time
+        assert k_stage not in folded
 
 
 def run_surface(src, algo, **kw):

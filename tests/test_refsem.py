@@ -1,12 +1,12 @@
 from __future__ import annotations
 
-import importlib
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import combterp.elim as elim_mod
 from combterp import refsem
 from combterp.elim import IF_TERM, ElimAlgo, elim_rterm, make_combinators
 from combterp.errors import UnexpectedNodeError
@@ -18,7 +18,6 @@ from combterp.refsem import (Outcome, RAbs, RApp, RFunConst, RStore, RVar,
                              step, subst)
 
 DELTA = standard_delta()
-elim_mod = importlib.import_module("combterp.elim")  # `combterp.elim` is a function
 
 
 def binop(op, a, b):
