@@ -223,23 +223,30 @@ def scaled_corpus(fib_n: int, ack: tuple, sort_k: int,
 # ---------------------------------------------------------------- harness
 
 def _run_once(e, algo, budget: int):
-    """One measurement: (Observation, app_count, transform_s)."""
+    """One measurement: (Observation, transform_s)."""
     if algo == CLASSICAL:
-        return observe_classical(e, budget=budget), None, 0.0
+        return observe_classical(e, budget=budget), 0.0
     t0 = time.perf_counter()
     # pre-evaluation is forced on for every rule set: plain-fab terms are
-    # too slow for the desk-scale corpus; the census below still reports
-    # the unfolded term size
+    # too slow for the desk-scale corpus; `_app_count` still reports the
+    # unfolded term size
     obs = observe_combinator(e, algo, budget=budget, pre_eval=True)
-    transform_s = time.perf_counter() - t0 - obs.eval_s
-    app_count = call_deep(
+    return obs, time.perf_counter() - t0 - obs.eval_s
+
+
+def _app_count(e, algo) -> Optional[int]:
+    """The size of `e`'s unfolded term under `algo`; None for classical."""
+    if algo == CLASSICAL:
+        return None
+    return call_deep(
         lambda: count_apps(elim(purify(e, PurifyCtx(Store())), algo,
                                 pre_eval=False)))
-    return obs, app_count, transform_s
 
 
 def run_bench(programs=None, algos=ALL_ALGOS, repetitions: int = 1,
               budget: int = DEFAULT_BUDGET) -> BenchReport:
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     if programs is None:
         programs = corpus()
     rows = []
@@ -251,7 +258,7 @@ def run_bench(programs=None, algos=ALL_ALGOS, repetitions: int = 1,
         for algo in algos:
             ts, es = [], []
             for _ in range(repetitions):
-                obs, app_count, t_s = _run_once(e, algo, budget)
+                obs, t_s = _run_once(e, algo, budget)
                 ts.append(t_s)
                 es.append(obs.eval_s)
             name = f"{p.name} under {_algo_name(algo)}"
@@ -261,8 +268,9 @@ def run_bench(programs=None, algos=ALL_ALGOS, repetitions: int = 1,
                 raise BenchFailure(f"{name}: wrong result")
             traces[algo] = obs.trace
             rows.append(BenchRow(p.name, _algo_name(algo), obs.value, True,
-                                 app_count, obs.steps, statistics.median(ts),
-                                 statistics.median(es), obs.trace))
+                                 _app_count(e, algo), obs.steps,
+                                 statistics.median(ts), statistics.median(es),
+                                 obs.trace))
         if len(set(traces.values())) > 1:
             raise BenchFailure(f"{p.name}: store traces differ across schemes")
     return BenchReport(tuple(rows))

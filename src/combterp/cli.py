@@ -34,8 +34,8 @@ def _budget(text: str) -> int:
     return n
 
 
-def _samples(text: str) -> int:
-    """A `--samples` value: a positive integer."""
+def _positive(text: str) -> int:
+    """A `--samples` or `--reps` value: a positive integer."""
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
@@ -68,7 +68,7 @@ def cmd_run(args) -> int:
 
 def cmd_transform(args) -> int:
     src = _read_source(args.file)
-    algo = ALGOS[args.algo if args.algo != "classical" else "c2"]
+    algo = ALGOS[args.algo]
     pre_eval = False if args.no_pre_eval else None  # None = the rule set's default
 
     def job():  # every pass recurses on the term: all run on the deep stack
@@ -155,18 +155,18 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="combterp")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, algos):
         p.add_argument("file", help="program path, or - for stdin")
-        p.add_argument("--algo", choices=["classical", *ALGOS], default="c2")
+        p.add_argument("--algo", choices=algos, default="c2")
 
     p = sub.add_parser("run", help="evaluate a program")
-    common(p)
+    common(p, ["classical", *ALGOS])
     p.add_argument("--budget", type=_budget, default=compare_mod.RUN_BUDGET)
     p.add_argument("--emit", choices=["value", "trace"], default="value")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("transform", help="show the combinator form")
-    common(p)
+    common(p, list(ALGOS))
     p.add_argument("--emit", choices=["term", "size"], default="term")
     p.add_argument("--no-pre-eval", action="store_true")
     p.set_defaults(fn=cmd_transform)
@@ -175,18 +175,18 @@ def main(argv=None) -> int:
     p.add_argument("file", nargs="?", help="program path; omit to use seeds")
     p.add_argument("--budget", type=_budget, default=compare_mod.DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_samples, default=1000)
+    p.add_argument("--samples", type=_positive, default=1000)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("bench", help="run the benchmark corpus")
     p.add_argument("--full", action="store_true")
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--reps", type=_positive, default=1)
     p.add_argument("--budget", type=_budget, default=bench_mod.DEFAULT_BUDGET)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("theorem", help="empirical elimination-correctness check")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_samples, default=1000)
+    p.add_argument("--samples", type=_positive, default=1000)
     p.add_argument("--budget", type=_budget, default=100_000)
     p.set_defaults(fn=cmd_theorem)
 

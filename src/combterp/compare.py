@@ -8,9 +8,7 @@ counted as disagreements.
 """
 from __future__ import annotations
 
-import gc
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -63,60 +61,47 @@ def _snapshot(s: Store) -> tuple:
     return trace, bindings
 
 
-@contextmanager
-def _no_cyclic_gc():
-    """Cyclic gc off for the block: the policy of observed transforms and runs.
-
-    Both allocate heavily and free what they build by reference counting,
-    so the collector's passes would only scan live terms; it runs again
-    afterwards.
-    """
-    was_on = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_on:
-            gc.enable()
-
-
 def _observe(s: Store, budget: int, prepare, run) -> Observation:
     """`run(prepare())` on a deep stack, with the budget on `run` alone.
 
-    Both run in one deep-stack job with cyclic gc off, so a deep program
-    is as safe to parse and transform as to evaluate.  The budget is set
-    and `steps` read inside the job, on the worker, which runs one job at
-    a time: runs observed from several threads at once each spend their
-    own fuel.  `eval_s` times `run` alone.  A budget that is not a
-    non-negative integer is rejected before anything runs.
+    Both run in one deep-stack job, so a deep program is as safe to parse
+    and transform as to evaluate.  The budget is set and `steps` read
+    inside the job, on the worker, which runs one job at a time: runs
+    observed from several threads at once each spend their own fuel.
+    `eval_s` times `run` alone.  A budget that is not a non-negative
+    integer is rejected before anything runs.
+
+    The job also names the error that ended the run and drops its
+    traceback, which holds the failed run's whole stack: so the stack is
+    freed before the worker turns the cyclic collector back on, whose
+    next pass would otherwise scan all of it.
     """
     if type(budget) is not int or budget < 0:
         raise ValueError(
             f"budget must be a non-negative integer, got {budget!r}")
-    kind, value, error, steps, eval_s = "value", None, None, None, 0.0
+    steps, eval_s = None, 0.0
 
     def job():
         nonlocal steps, eval_s
-        prepared = prepare()
-        t0 = time.perf_counter()
-        with fuel(budget):
-            try:
-                return run(prepared)
-            finally:
-                steps = budget - remaining()
-                eval_s = time.perf_counter() - t0
-
-    with _no_cyclic_gc():
         try:
-            value = call_deep(job)
+            prepared = prepare()
+            t0 = time.perf_counter()
+            with fuel(budget):
+                try:
+                    return "value", run(prepared), None
+                finally:
+                    steps = budget - remaining()
+                    eval_s = time.perf_counter() - t0
         except EvalTypeError as exc:
-            kind, error = "type_error", exc.with_traceback(None)
+            return "type_error", None, exc.with_traceback(None)
         except (UnboundTagError, UnboundVarError) as exc:
-            kind, error = "unbound_tag", exc.with_traceback(None)
+            return "unbound_tag", None, exc.with_traceback(None)
         except StepLimitExceeded as exc:
-            kind, error = "limit", exc.with_traceback(None)
+            return "limit", None, exc.with_traceback(None)
         except (RecursionError, MemoryError) as exc:
-            kind, error = "recursion", exc.with_traceback(None)
+            return "recursion", None, exc.with_traceback(None)
+
+    kind, value, error = call_deep(job)
     trace, bindings = _snapshot(s)
     return Observation(kind, value, trace, bindings, steps, eval_s, error)
 

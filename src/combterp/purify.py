@@ -3,7 +3,8 @@
 Conditional branches are suspended in dummy-parameter thunks and chosen
 at run time by the IF function constant; reference reads and writes
 become applications of per-tag effectful function constants that capture
-the evaluation store handle.
+the evaluation store handle.  Every other construct is already a term of
+the purely functional language (see `syntax`), so it passes through.
 """
 from __future__ import annotations
 
@@ -12,9 +13,8 @@ from dataclasses import dataclass, field
 from .errors import BAD_CONDITION, EvalTypeError
 from .runtime import apply_value
 from .store import Store
-from .syntax import (DUMMY_IDENT, DUMMY_VAL, EAbs, EApp, EConst, EGet, EIf,
-                     ESet, EVar, Expr, PAbs, PApp, PConst, PVar, PExpr, VBool,
-                     VFun, with_meta)
+from .syntax import (DUMMY_IDENT, DUMMY_VAL, EGet, EIf, ESet, Expr, PAbs,
+                     PApp, PConst, PVar, PExpr, VBool, VFun, with_meta)
 
 
 def _fun_if_impl(cond):
@@ -64,15 +64,21 @@ def make_set(tag: str, ctx: PurifyCtx) -> VFun:
 
 
 def purify(e: Expr, ctx: PurifyCtx) -> PExpr:
+    """`e` with each conditional, get and set rewritten as applications.
+
+    Only the nodes above a rewritten one are rebuilt: every other node is
+    returned as it is, so a program without conditional, get or set is
+    its own purified form.
+    """
     t = type(e)
-    if t is EApp:
-        return PApp(purify(e.fn, ctx), purify(e.arg, ctx))
-    if t is EVar:
-        return PVar(e.name)
-    if t is EConst:
-        return PConst(e.value)
-    if t is EAbs:
-        return PAbs(e.param, purify(e.body, ctx))
+    if t is PApp:
+        f, a = purify(e.fn, ctx), purify(e.arg, ctx)
+        return e if f is e.fn and a is e.arg else PApp(f, a)
+    if t is PConst or t is PVar:
+        return e
+    if t is PAbs:
+        b = purify(e.body, ctx)
+        return e if b is e.body else PAbs(e.param, b)
     if t is EIf:
         pc = purify(e.cond, ctx)
         pt = PAbs(DUMMY_IDENT, purify(e.then, ctx))

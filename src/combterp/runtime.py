@@ -18,16 +18,19 @@ several units at once.
 `call_deep` runs a job where deep Python recursion is safe: omega-encoded
 recursion and the transform of large terms nest hundreds of thousands of
 frames.  Every job runs on one long-lived worker thread with a 512 MB
-stack, under a recursion limit of 1.5 M frames that is set for the job
-and restored after it, so no other thread keeps it.  The worker's
-outermost frame, `_serve`, which never returns, reserves 128 KB of
-CPython's frame data stack (`_RESERVE_SLOTS`) that every job's frames
-fill: recursion within it maps and unmaps no memory, however often it
-goes up and down.  On Python 3.10, where frames are heap objects, the
+stack, under a recursion limit of 1.5 M frames and with the cyclic
+garbage collector off, both set for the job and restored after it, so no
+other thread keeps them.  Jobs allocate heavily and free what they build
+by reference counting, so the collector's passes would only scan live
+terms.  The worker's outermost frame, `_serve`, which never returns,
+reserves 128 KB of CPython's frame data stack (`_RESERVE_SLOTS`) that
+every job's frames fill: recursion within it maps and unmaps no memory,
+however often it goes up and down.  On Python 3.10, where frames are heap objects, the
 reserve is one large frame allocated once.
 """
 from __future__ import annotations
 
+import gc
 import queue
 import sys
 import threading
@@ -149,12 +152,16 @@ def _serve():
         box, fn, args, kwargs = _jobs.get()
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(_RECURSION_LIMIT)
+        gc_was_on = gc.isenabled()
+        gc.disable()
         try:
             box["value"] = fn(*args, **kwargs)
         except BaseException as exc:  # re-raised in the caller
             box["error"] = exc
         finally:
             sys.setrecursionlimit(old)
+            if gc_was_on:
+                gc.enable()
         # keep nothing of a finished job: the caller owns all of it, and
         # empties the box
         del fn, args, kwargs

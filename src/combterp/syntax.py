@@ -1,10 +1,14 @@
 """The term languages of the pipeline and the runtime value type.
 
-Surface programs are `Expr` trees.  Non-strictness elimination produces
-`PExpr` (purely functional: no conditional, no get/set).  Variable
-elimination produces an `MExpr`: the var-free subset of `PExpr`, built
-from `PConst` and `PApp` nodes only.  `MConst` and `MApp` are the same
-classes as `PConst` and `PApp`, so no copy separates the two languages.
+The three languages are nested subsets of one set of node classes, one
+class per construct.  Surface programs are `Expr` trees: constants,
+variables, abstractions and applications (`PConst`, `PVar`, `PAbs`,
+`PApp`), plus conditionals and store accesses (`EIf`, `EGet`, `ESet`).
+Non-strictness elimination produces a `PExpr`: an `Expr` with no
+conditional, get or set.  Variable elimination produces an `MExpr`: a
+`PExpr` with no variable or abstraction.  `EConst`, `EVar`, `EAbs` and
+`EApp` are the same classes as `PConst`, `PVar`, `PAbs` and `PApp`, as
+`MConst` and `MApp` are, so no copy separates the languages.
 
 A function value is a plain Python function (`VFun` is the function
 type), so applying one is one host call.  Every other value has a
@@ -262,23 +266,23 @@ class Node:
         return f"{type(self).__name__}({fields})"
 
 
-# ---------------------------------------------------------------- surface syntax
+# ---------------------------------------------------------------- terms
 
-class EConst(Node):
+class PConst(Node):
     __slots__ = ("value",)
 
     def __init__(self, value: Value):
         self.value = value
 
 
-class EVar(Node):
+class PVar(Node):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
         self.name = name
 
 
-class EAbs(Node):
+class PAbs(Node):
     __slots__ = ("param", "body")
 
     def __init__(self, param: str, body: "Expr"):
@@ -286,13 +290,26 @@ class EAbs(Node):
         self.body = body
 
 
-class EApp(Node):
-    __slots__ = ("fn", "arg")
+class PApp(Node):
+    """The application `fn arg`.
+
+    A node may also carry its value, folded at transform time (see
+    `elim._SharingEliminator`): then `cost`, the applications in its tree,
+    is nonzero, and `value` is what evaluating the tree returns.  Neither
+    is a field: a folded node equals, hashes, prints and matches as the
+    same application unfolded.
+    """
+
+    __slots__ = ("fn", "arg", "value", "cost")
+    _fields = ("fn", "arg")
 
     def __init__(self, fn: "Expr", arg: "Expr"):
         self.fn = fn
         self.arg = arg
+        self.cost = 0  # 0: not folded, `value` unset
 
+
+# ---------------------------------------------------------------- surface-only constructs
 
 class EIf(Node):
     __slots__ = ("cond", "then", "other")
@@ -318,61 +335,13 @@ class ESet(Node):
         self.expr = expr
 
 
-Expr = Union[EConst, EVar, EAbs, EApp, EIf, EGet, ESet]
+# ---------------------------------------------------------------- the three languages
 
-
-# ---------------------------------------------------------------- purely functional syntax
-
-class PConst(Node):
-    __slots__ = ("value",)
-
-    def __init__(self, value: Value):
-        self.value = value
-
-
-class PVar(Node):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-
-class PAbs(Node):
-    __slots__ = ("param", "body")
-
-    def __init__(self, param: str, body: "PExpr"):
-        self.param = param
-        self.body = body
-
-
-class PApp(Node):
-    """The application `fn arg`.
-
-    A node may also carry its value, folded at transform time (see
-    `elim._SharingEliminator`): then `cost`, the applications in its tree,
-    is nonzero, and `value` is what evaluating the tree returns.  Neither
-    is a field: a folded node equals, hashes, prints and matches as the
-    same application unfolded.
-    """
-
-    __slots__ = ("fn", "arg", "value", "cost")
-    _fields = ("fn", "arg")
-
-    def __init__(self, fn: "PExpr", arg: "PExpr"):
-        self.fn = fn
-        self.arg = arg
-        self.cost = 0  # 0: not folded, `value` unset
-
-
-PExpr = Union[PConst, PVar, PAbs, PApp]
-
-
-# ---------------------------------------------------------------- minimal syntax
-
-# the var-free subset of PExpr: no PVar, no PAbs
-MConst = PConst
-MApp = PApp
-MExpr = Union[PConst, PApp]
+EConst, EVar, EAbs, EApp = PConst, PVar, PAbs, PApp
+Expr = Union[PConst, PVar, PAbs, PApp, EIf, EGet, ESet]
+PExpr = Union[PConst, PVar, PAbs, PApp]  # no EIf, EGet or ESet
+MConst, MApp = PConst, PApp
+MExpr = Union[PConst, PApp]  # no PVar or PAbs either
 
 
 # ---------------------------------------------------------------- structural metrics
@@ -408,13 +377,13 @@ def count_apps(e) -> int:
 
 
 def free_vars(e) -> frozenset:
-    """Free variables of an Expr or PExpr under the usual binding of Abs."""
+    """Free variables of an Expr under the usual binding of Abs."""
     match e:
-        case EVar(name) | PVar(name):
+        case PVar(name):
             return frozenset({name})
-        case EAbs(param, body) | PAbs(param, body):
+        case PAbs(param, body):
             return free_vars(body) - {param}
-        case EApp(f, a) | PApp(f, a):
+        case PApp(f, a):
             return free_vars(f) | free_vars(a)
         case EIf(c, t, o):
             return free_vars(c) | free_vars(t) | free_vars(o)

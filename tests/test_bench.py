@@ -91,6 +91,20 @@ class TestHarness:
         with pytest.raises(BenchFailure, match="limit"):
             run_bench([small_fib()], budget=100)
 
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_fewer_than_one_repetition_is_rejected(self, reps):
+        with pytest.raises(ValueError, match="repetitions must be at least 1"):
+            run_bench([small_fib()], repetitions=reps)
+
+    def test_term_size_is_counted_once_per_rule_set(self, monkeypatch):
+        counted = []
+        monkeypatch.setattr(bench, "count_apps",
+                            lambda m: counted.append(m) or 1)
+        report = run_bench([small_fib()], algos=(CLASSICAL, ElimAlgo.C2),
+                           repetitions=3, budget=5_000_000)
+        assert len(counted) == 1
+        assert [r.app_count for r in report.rows] == [None, 1]
+
     def test_a_deep_program_is_parsed_on_the_deep_stack(self):
         # an application chain far past the caller's recursion limit
         src = SourceProgram("(\\x. x) " * 1500 + "1", "chain")

@@ -84,6 +84,14 @@ class TestRun:
         assert (f"argument --samples: must be at least 1, got {samples}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_fewer_than_one_repetition_is_rejected(self, capsys, reps):
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--reps", reps])
+        assert info.value.code == 2
+        assert (f"argument --reps: must be at least 1, got {reps}"
+                in capsys.readouterr().err)
+
     def test_runs_as_a_module_without_an_install(self, source, tmp_path):
         env = dict(os.environ,
                    PYTHONPATH=str(Path(combterp.__file__).parents[1]))
@@ -94,6 +102,13 @@ class TestRun:
 
 
 class TestTransform:
+    def test_classical_has_no_term_to_show(self, source, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["transform", source("\\x. x"), "--algo", "classical"])
+        assert info.value.code == 2
+        assert "argument --algo: invalid choice: 'classical'" in (
+            capsys.readouterr().err)
+
     def test_term_and_size(self, source, capsys):
         f = source("\\x. \\y. (x y)")
         assert main(["transform", f, "--algo", "fab", "--emit", "size"]) == 0

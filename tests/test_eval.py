@@ -219,6 +219,25 @@ class TestFailedRuns:
             gc.enable()
 
 
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=str)
+    def test_a_failed_run_is_freed_before_the_collector_is_back(self, scheme):
+        # its stack dies on the worker, so no pass of the collector scans it
+        young = []
+
+        def count_young(phase, info):
+            if phase == "start":
+                young.append(len(gc.get_objects(0)))
+
+        e = parse(COUNT_UP)
+        gc.collect()
+        gc.callbacks.append(count_young)
+        try:
+            obs = _observe(scheme, e, budget=10_000)
+        finally:
+            gc.callbacks.remove(count_young)
+        assert obs.kind == "limit"
+        assert max(young, default=0) < 1_000
+
     def test_call_deep_failure_leaves_no_cycle(self):
         s, i = c(DEFS["S"].value), c(DEFS["I"].value)
         sii = MApp(MApp(s, i), i)
@@ -260,6 +279,19 @@ class TestDeepWorker:
         assert call_deep(sys.getrecursionlimit) > limit
         assert sys.getrecursionlimit() == limit
         assert threading.stack_size() == size
+
+    @pytest.mark.parametrize("was_on", [True, False])
+    def test_a_job_runs_without_the_cyclic_collector(self, was_on):
+        saved = gc.isenabled()
+        (gc.enable if was_on else gc.disable)()
+        try:
+            assert call_deep(gc.isenabled) is False
+            assert gc.isenabled() is was_on
+            with pytest.raises(ZeroDivisionError):
+                call_deep(lambda: 1 // 0)
+            assert gc.isenabled() is was_on
+        finally:
+            (gc.enable if saved else gc.disable)()
 
     def test_concurrent_callers_get_their_own_results(self):
         got = {}

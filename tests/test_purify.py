@@ -9,11 +9,13 @@ from combterp.eval import eval as meval
 from combterp.elim import ElimAlgo, transform
 from combterp.frontend import parse
 from combterp.purify import FUN_IF, PurifyCtx, make_get, make_set, purify
+from combterp.refsem import RVar
 from combterp.runtime import apply_value
 from combterp.quickgen import GenConfig, gen_expr
 from combterp.store import Store
-from combterp.syntax import (DUMMY_IDENT, DUMMY_VAL, EGet, EIf, ESet, PAbs,
-                             PApp, PConst, PVar, VBool, VFun, VInt, fun_meta)
+from combterp.syntax import (DUMMY_IDENT, DUMMY_VAL, EGet, EIf, ESet, Node,
+                             PAbs, PApp, PConst, PVar, VBool, VFun, VInt,
+                             fun_meta)
 
 
 def _is_pexpr(e) -> bool:
@@ -25,6 +27,29 @@ def _is_pexpr(e) -> bool:
         case PApp(f, a):
             return _is_pexpr(f) and _is_pexpr(a)
     return False
+
+
+def _children(e) -> list:
+    return [v for v in map(e.__getattribute__, e._fields)
+            if isinstance(v, Node)]
+
+
+def _pure_subtrees(e) -> list:
+    """The largest subtrees of `e` without a conditional, get or set."""
+    below = [_pure_subtrees(c) for c in _children(e)]
+    if type(e) not in (EIf, EGet, ESet) and all(
+            len(s) == 1 and s[0] is c for s, c in zip(below, _children(e))):
+        return [e]
+    return [t for s in below for t in s]
+
+
+def _node_ids(e) -> set:
+    ids, todo = set(), [e]
+    while todo:
+        t = todo.pop()
+        ids.add(id(t))
+        todo.extend(_children(t))
+    return ids
 
 
 class TestShapes:
@@ -70,7 +95,28 @@ class TestShapes:
         ctx = PurifyCtx(Store())
         assert _is_pexpr(purify(gen_expr(GenConfig(seed=seed)), ctx))
 
-    @pytest.mark.parametrize("e", [PVar("x"), VInt(1), None])
+    def test_a_program_without_conditional_get_or_set_is_its_own_form(self):
+        e = parse("(\\f. \\x. f (f x)) (\\y. y + 1) 3")
+        assert purify(e, PurifyCtx(Store())) is e
+
+    def test_only_the_nodes_above_a_rewrite_are_rebuilt(self):
+        e = parse("(\\x. (\\y. y) (if x then (\\z. z) 1 else 2 fi)) true")
+        p = purify(e, PurifyCtx(Store()))
+        assert p is not e and p.arg is e.arg  # `true`
+        assert p.fn.body.fn is e.fn.body.fn  # `\y. y`
+        kept = _node_ids(p)
+        assert all(id(s) in kept for s in _pure_subtrees(e))
+
+    @given(st.integers(0, 5_000))
+    def test_every_subtree_without_a_rewrite_is_shared(self, seed):
+        e = gen_expr(GenConfig(seed=seed))
+        p = purify(e, PurifyCtx(Store()))
+        pure = _pure_subtrees(e)
+        assert (p is e) == any(s is e for s in pure)
+        kept = _node_ids(p)
+        assert all(id(s) in kept for s in pure)
+
+    @pytest.mark.parametrize("e", [RVar("x"), VInt(1), None])
     def test_a_non_expr_is_rejected(self, e):
         with pytest.raises(TypeError, match="not an Expr"):
             purify(e, PurifyCtx(Store()))

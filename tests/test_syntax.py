@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from combterp.refsem import RAbs, RApp, RFunConst, RVar
 from combterp.syntax import (MApp, MConst, PAbs, PApp, PConst, PVar, EAbs,
-                             EApp, EIf, ESet, EVar, VBool, VDummy, VInt, VList,
-                             count_apps, format_mexpr, format_value, free_vars,
-                             is_ground, value_ground_eq, with_meta)
+                             EApp, EConst, EIf, ESet, EVar, VBool, VDummy,
+                             VInt, VList, count_apps, format_mexpr,
+                             format_value, free_vars, is_ground,
+                             value_ground_eq, with_meta)
 
 ints = st.lists(st.integers(-50, 50), max_size=12)
 
@@ -139,6 +140,12 @@ class TestNodes:
         assert PVar("x") != PVar("y")
         assert PApp(PVar("x"), PVar("y")) != PApp(PVar("y"), PVar("x"))
         assert RAbs("x", RVar("x")) != RAbs("y", RVar("x"))
+
+    def test_one_class_per_construct(self):
+        assert (EConst, EVar, EAbs, EApp) == (PConst, PVar, PAbs, PApp)
+        assert (MConst, MApp) == (PConst, PApp)
+        assert EApp(EVar("f"), EConst(VInt(1))) == PApp(PVar("f"),
+                                                        PConst(VInt(1)))
 
     def test_same_fields_in_other_classes_are_unequal(self):
         assert PVar("x") != RVar("x")
